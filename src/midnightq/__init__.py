@@ -8,7 +8,12 @@ independent oracles, and a scaling harness checks the diffusion limit
 empirically.
 """
 
-from .model import DiffusionParams, ModelParams, derive_diffusion_params, validate_params
+from .model import (
+    DiffusionParams,
+    ModelParams,
+    UnstableRegimeError,
+    derive_diffusion_params,
+)
 from .chain import (
     ChainKernel,
     ConvergenceError,
@@ -27,7 +32,6 @@ from .diffusion import (
     NormalDensity,
     PiecewiseDensity,
     TransitionKernel,
-    UnstableRegimeError,
     dou_stationary_density,
     proxy_density,
     run_limit_harness,
@@ -45,7 +49,6 @@ from .projection import (
     build_basis,
     default_basis,
     project_stationary_density,
-    reconstruct_density,
     solve_gram,
 )
 
@@ -54,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams",
     "DiffusionParams",
-    "validate_params",
     "derive_diffusion_params",
     "ChainKernel",
     "StationaryPMF",
@@ -87,7 +89,6 @@ __all__ = [
     "apply_kernel_operator",
     "assemble_gram",
     "solve_gram",
-    "reconstruct_density",
     "project_stationary_density",
     "__version__",
 ]

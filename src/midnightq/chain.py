@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gammaln
 
-from .model import ModelParams, derive_diffusion_params
+from .model import ModelParams, UnstableRegimeError, derive_diffusion_params
 
 
 class ConvergenceError(RuntimeError):
@@ -86,7 +87,8 @@ class StationaryPMF:
         return float(z @ self.mass)
 
     def to_csv(self, path: str) -> None:
-        write_pmf_csv(path, self.support, self.mass)
+        with open(path, "w") as fh:
+            fh.write(pmf_csv(self.support, self.mass))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +100,11 @@ class SimulatedPath:
     params: ModelParams
 
 
-def write_pmf_csv(path: str, states: np.ndarray, mass: np.ndarray) -> None:
-    """Write ``state,probability`` rows with 12 significant digits."""
+def pmf_csv(states: np.ndarray, mass: np.ndarray) -> str:
+    """``state,probability`` rows with 12 significant digits."""
     lines = ["state,probability"]
     lines += [f"{int(s)},{p:.12g}" for s, p in zip(states, mass)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def default_truncation(p: ModelParams) -> int:
@@ -164,75 +165,50 @@ def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
     return ChainKernel(truncation_level=k_max, rows=rows, params=p)
 
 
-def _power_iteration(
-    rows: np.ndarray, start: int, tol: float, max_iters: int
-) -> tuple[np.ndarray, float, bool]:
-    k = rows.shape[0]
-    # A point mass at the busy-server level avoids parking mass in the far
-    # truncation tail, which would only advect back at |drift| per day.
-    pi = np.zeros(k)
-    pi[min(start, k - 1)] = 1.0
-    residual = math.inf
-    stall_window = 200
-    last_check = math.inf
-    for it in range(1, max_iters + 1):
-        nxt = pi @ rows
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual <= tol:
-            return pi, residual, True
-        if it % stall_window == 0:
-            if residual > 0.999 * last_check:
-                return pi, residual, False  # stalled
-            last_check = residual
-    return pi, residual, False
-
-
-def _direct_solve(rows: np.ndarray) -> np.ndarray:
-    k = rows.shape[0]
-    system = rows.T - np.eye(k)
-    system[0, :] = 1.0  # replace one balance equation with the normalization
-    rhs = np.zeros(k)
-    rhs[0] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    if pi.min() < -1e-10:
-        raise ConvergenceError(
-            f"direct stationary solve produced negative mass {pi.min():.3e}",
-            residual=float(np.abs(pi @ rows - pi).sum()),
-        )
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
-
-
-def stationary_pmf(
-    kernel: ChainKernel,
-    tol: float = 1e-12,
-    max_iters: int = 100_000,
-) -> StationaryPMF:
+def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     """Solve pi = pi P on the truncated lattice.
 
-    Power iteration with an L1 residual stop; if it stalls or runs out of
-    iterations, a dense linear solve with a normalization row takes over.
-    Raises ConvergenceError (carrying the final residual) if neither route
-    reaches ``tol``.
+    One LU solve of P^T - I with its first row replaced by the normalization
+    row, then one step of iterative refinement with the same factor.  Raises
+    UnstableRegimeError at load >= 1, where the untruncated chain has no
+    stationary law, and ConvergenceError (carrying the residual) if the
+    solve leaves negative mass or misses ``tol``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    p = kernel.params
+    if p.load >= 1.0:
+        raise UnstableRegimeError(
+            f"chain not positive recurrent at load {p.load:.6g} >= 1: "
+            "no stationary law"
+        )
     rows = kernel.rows
-    pi, residual, ok = _power_iteration(rows, kernel.params.n_servers, tol, max_iters)
-    if not ok:
-        pi = _direct_solve(rows)
-        residual = float(np.abs(pi @ rows - pi).sum())
-        if residual > tol:
-            raise ConvergenceError(
-                f"stationary solve did not reach tol={tol:g}; residual={residual:.3e}",
-                residual=residual,
-            )
-    pi = pi / pi.sum()
-    return StationaryPMF(
-        support=kernel.states, mass=pi, params=kernel.params, residual=residual
-    )
+    k = rows.shape[0]
+    system = np.array(rows.T, order="F")
+    system[np.diag_indices(k)] -= 1.0
+    system[0, :] = 1.0  # replace one balance equation with the normalization
+    factor = lu_factor(system, overwrite_a=True, check_finite=False)
+    rhs = np.zeros(k)
+    rhs[0] = 1.0
+    pi = lu_solve(factor, rhs, check_finite=False)
+    # Refinement residual from the kernel itself, not from the overwritten system.
+    correction = pi - pi @ rows
+    correction[0] = 1.0 - pi.sum()
+    pi += lu_solve(factor, correction, check_finite=False)
+    if pi.min() < -1e-10:
+        raise ConvergenceError(
+            f"stationary solve produced negative mass {pi.min():.3e}",
+            residual=float(np.abs(pi @ rows - pi).sum()),
+        )
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ rows - pi).sum())
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"stationary solve did not reach tol={tol:g}; residual={residual:.3e}",
+            residual=residual,
+        )
+    return StationaryPMF(support=kernel.states, mass=pi, params=p, residual=residual)
 
 
 # Coin matrices are drawn in fixed-size blocks so the stream consumed by a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, derive_diffusion_params
+from .model import ModelParams, UnstableRegimeError, derive_diffusion_params
 from . import chain as chain_mod
 from . import diffusion as diff_mod
 from . import projection as proj_mod
@@ -49,7 +49,6 @@ class RunConfig:
     replications: int = 100_000
     seed: int = 0
     beta_star: float = 1.0
-    lambda_star: float | None = None
     out: str | None = None
     fmt: str = "csv"
 
@@ -163,24 +162,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _density_csv(x: np.ndarray, density: np.ndarray) -> str:
-    lines = ["x,density"]
-    lines += [f"{xi:.12g},{di:.12g}" for xi, di in zip(x, density)]
-    return "\n".join(lines) + "\n"
-
-
-def _pmf_csv(states: np.ndarray, mass: np.ndarray) -> str:
-    lines = ["state,probability"]
-    lines += [f"{int(s)},{pi:.12g}" for s, pi in zip(states, mass)]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_exact(cfg: RunConfig) -> int:
     p = cfg.model_params()
     kernel = chain_mod.build_kernel(p, cfg.truncation)
     pmf = chain_mod.stationary_pmf(kernel, tol=cfg.tol)
     if cfg.fmt == "csv":
-        _emit(_pmf_csv(pmf.support, pmf.mass), cfg.out)
+        _emit(chain_mod.pmf_csv(pmf.support, pmf.mass), cfg.out)
     else:
         payload = {
             "states": pmf.support.tolist(),
@@ -208,7 +195,7 @@ def _cmd_formula(cfg: RunConfig) -> int:
     grid = _formula_grid(cfg, d)
     table = diff_mod.density_table(proxy, grid)
     if cfg.fmt == "csv":
-        _emit(_density_csv(table.x, table.density), cfg.out)
+        _emit(diff_mod.density_csv(table.x, table.density), cfg.out)
     else:
         payload = {
             "x": table.x.tolist(),
@@ -240,7 +227,7 @@ def _cmd_projection(cfg: RunConfig) -> int:
         "clipped_mass": diag["clipped_mass"],
     }
     if cfg.fmt == "csv":
-        _emit(_density_csv(table.x, table.density), cfg.out)
+        _emit(diff_mod.density_csv(table.x, table.density), cfg.out)
         sys.stderr.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     else:
         payload = {
@@ -254,11 +241,16 @@ def _cmd_projection(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.model_params()
+    if p.load >= 1.0:
+        sys.stderr.write(
+            f"warning: load {p.load:.6g} >= 1: the chain has no stationary law, "
+            "so the occupation frequencies do not settle\n"
+        )
     path = chain_mod.simulate_path(p, cfg.steps, cfg.seed)
     burn_in = min(10_000, cfg.steps // 10)
     states, freq = chain_mod.empirical_pmf(path.counts, burn_in=burn_in)
     if cfg.fmt == "csv":
-        _emit(_pmf_csv(states, freq), cfg.out)
+        _emit(chain_mod.pmf_csv(states, freq), cfg.out)
     else:
         tail = path.counts[burn_in:]
         payload = {
@@ -283,7 +275,6 @@ def _cmd_limit_check(cfg: RunConfig) -> int:
         replications=cfg.replications,
         service_prob=cfg.service_prob(),
         beta_star=cfg.beta_star,
-        lambda_star=cfg.lambda_star,
         seed=cfg.seed,
     )
     report = diff_mod.run_limit_harness(harness)
@@ -358,7 +349,6 @@ _CONFIG_KEYS = {
     "replications": "replications",
     "seed": "seed",
     "beta_star": "beta_star",
-    "lambda_star": "lambda_star",
     "out": "out",
     "format": "fmt",
 }
@@ -417,7 +407,7 @@ def run(cfg: RunConfig) -> int:
     handler = _COMMANDS[cfg.command]
     try:
         return handler(cfg)
-    except (chain_mod.ConvergenceError, proj_mod.GramError, diff_mod.UnstableRegimeError) as err:
+    except (chain_mod.ConvergenceError, proj_mod.GramError, UnstableRegimeError) as err:
         sys.stderr.write(f"solver failure: {err}\n")
         return 3
     except ValueError as err:

@@ -23,14 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .model import DiffusionParams, ModelParams
+from .model import DiffusionParams, ModelParams, UnstableRegimeError
 from . import chain as chain_mod
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-class UnstableRegimeError(ValueError):
-    """The closed-form proxy needs negative drift (load below one)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +241,8 @@ class LimitHarnessConfig:
     """Settings for the empirical convergence check of the scaled queue.
 
     Each system size N runs with arrival rate N*mu*(1 - beta_star/sqrt(N)),
-    so sqrt(N)(1 - rho_N) equals beta_star exactly.  ``lambda_star`` is the
-    limiting arrival rate per server and defaults to ``service_prob``, its
-    value under that coupling.
+    so sqrt(N)(1 - rho_N) equals beta_star exactly and the limiting arrival
+    rate per server is ``service_prob``.
     """
 
     system_sizes: tuple[int, ...]
@@ -255,7 +250,6 @@ class LimitHarnessConfig:
     replications: int
     service_prob: float
     beta_star: float = 1.0
-    lambda_star: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -278,10 +272,6 @@ class LimitHarnessConfig:
             raise ValueError(
                 f"beta_star={self.beta_star!r} leaves no arrivals for sizes {bad!r}"
             )
-
-    @property
-    def limit_arrival_rate(self) -> float:
-        return self.service_prob if self.lambda_star is None else self.lambda_star
 
     def arrival_rate(self, n: int) -> float:
         return n * self.service_prob * (1.0 - self.beta_star / math.sqrt(n))
@@ -353,7 +343,7 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     For each system size the queue starts full, runs ``horizon`` days, and
     the final count is centered and scaled by sqrt(N).  The limit side runs
     the same recursion driven by Gaussian increments with mean
-    -mu*beta_star and variance lambda_star + mu(1-mu).  The report carries
+    -mu*beta_star and variance mu + mu(1-mu).  The report carries
     one KS distance per system size.
     """
     mu = cfg.service_prob
@@ -363,7 +353,7 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
             f"replications={cfg.replications} < 1000: KS noise dominates the comparison"
         )
     limit_drift = -mu * cfg.beta_star
-    limit_variance = cfg.limit_arrival_rate + mu * (1.0 - mu)
+    limit_variance = mu + mu * (1.0 - mu)
 
     root = np.random.SeedSequence(cfg.seed)
     entries = []
@@ -399,10 +389,15 @@ class DensityTable:
     ou_variance: float | None = None
 
     def to_csv(self, path: str) -> None:
-        lines = ["x,density"]
-        lines += [f"{xi:.12g},{di:.12g}" for xi, di in zip(self.x, self.density)]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(density_csv(self.x, self.density))
+
+
+def density_csv(x: np.ndarray, density: np.ndarray) -> str:
+    """``x,density`` rows with 12 significant digits."""
+    lines = ["x,density"]
+    lines += [f"{xi:.12g},{di:.12g}" for xi, di in zip(x, density)]
+    return "\n".join(lines) + "\n"
 
 
 def density_table(density, grid: np.ndarray) -> DensityTable:

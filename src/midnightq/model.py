@@ -14,6 +14,10 @@ import math
 from dataclasses import dataclass
 
 
+class UnstableRegimeError(ValueError):
+    """The route needs a stable regime: load below one, negative drift."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Primitives of the daily-review queue.
@@ -86,18 +90,6 @@ class DiffusionParams:
             raise ValueError(f"variance must be positive, got {self.variance!r}")
         if not self.ou_variance > 0.0:
             raise ValueError(f"ou_variance must be positive, got {self.ou_variance!r}")
-
-
-def validate_params(raw: tuple[float, float, float]) -> ModelParams:
-    """Validate a raw (n_servers, daily_arrival_rate, daily_service_prob) triple.
-
-    Raises ValueError naming the offending field when any invariant fails.
-    """
-    n, lam, mu = raw
-    n_int = int(n)
-    if n_int != n:
-        raise ValueError(f"n_servers must be a positive integer, got {n!r}")
-    return ModelParams(n_int, lam, mu)
 
 
 def derive_diffusion_params(p: ModelParams) -> DiffusionParams:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import lsqr
 from scipy.special import ndtr
 
 from .model import DiffusionParams
@@ -165,6 +164,26 @@ def _piece_integrals(breaks: np.ndarray, means: np.ndarray, sd: float):
     return i0, i1
 
 
+def _pf_hats(t: np.ndarray, widths, kernel: TransitionKernel, x: np.ndarray) -> np.ndarray:
+    """P applied to the hat of every breakpoint in ``t``, at the points ``x``.
+
+    The hats interpolate on the pieces of ``t`` and vanish outside it, so the
+    first and last are half hats.  ``widths`` are the piece lengths, as a
+    column of shape (len(t) - 1, 1) or one scalar for a uniform grid.
+    Returns shape (len(t), len(x)).
+    """
+    d = kernel.diffusion
+    means = np.asarray(kernel.step_base(x), dtype=float) + d.drift
+    sd = math.sqrt(d.variance)
+    i0, i1 = _piece_integrals(t, means, sd)
+    up = (i1 - t[:-1, None] * i0) / widths
+    down = (t[1:, None] * i0 - i1) / widths
+    pf = np.zeros((t.size, x.size))
+    pf[1:] += up
+    pf[:-1] += down
+    return pf
+
+
 def apply_kernel_operator(kernel: TransitionKernel, f, x):
     """One-step expectation P f at the points ``x``, in closed form.
 
@@ -175,38 +194,14 @@ def apply_kernel_operator(kernel: TransitionKernel, f, x):
     if isinstance(f, (int, float)):
         out = np.full(x_arr.shape, float(f))
         return out if np.ndim(x) else float(out[0])
-    d = kernel.diffusion
-    means = np.asarray(kernel.step_base(x_arr), dtype=float) + d.drift
-    sd = math.sqrt(d.variance)
-    t = f.nodes
-    v = f.values
-    i0, i1 = _piece_integrals(t, means, sd)
-    slopes = np.diff(v) / np.diff(t)
-    intercepts = v[:-1] - slopes * t[:-1]
-    out = intercepts @ i0 + slopes @ i1
+    out = f.values @ _pf_hats(f.nodes, np.diff(f.nodes)[:, None], kernel, x_arr)
     return out if np.ndim(x) else float(out[0])
-
-
-def _pf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray) -> np.ndarray:
-    """P applied to every hat, at the points ``x``; shape (size, len(x))."""
-    d = kernel.diffusion
-    means = np.asarray(kernel.step_base(x), dtype=float) + d.drift
-    sd = math.sqrt(d.variance)
-    t = basis.nodes
-    h = basis.width
-    i0, i1 = _piece_integrals(t, means, sd)
-    up = (i1 - t[:-1, None] * i0) / h
-    down = (t[1:, None] * i0 - i1) / h
-    pf = np.zeros((basis.size, x.size))
-    pf[1:] += up
-    pf[:-1] += down
-    return pf
 
 
 def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     """L applied to every hat (P f - f) at the points ``x``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _pf_hat_matrix(basis, kernel, x) - basis.hat_matrix(x)
+    return _pf_hats(basis.nodes, basis.width, kernel, x) - basis.hat_matrix(x)
 
 
 def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +232,6 @@ class GramSystem:
     rhs_scale: float = 1.0
     coefficients: np.ndarray | None = None
     residual: float | None = None
-    condition_estimate: float | None = None
 
 
 def _tail_segments(r, cut: float, step_sd: float, outward: float) -> list[tuple[float, float]]:
@@ -329,48 +323,35 @@ def assemble_gram(
 
 
 def solve_gram(system: GramSystem, rel_tol: float = 1e-8) -> np.ndarray:
-    """Least-squares solve of the assembled system.
+    """Cholesky solve of the assembled system, with a tiny diagonal shift.
 
-    Tries a Cholesky factorization with a tiny diagonal shift first, then
-    falls back to LSQR.  The acceptance test is on the residual: any
-    coefficient vector reproducing the right-hand side is as good as any
-    other, because the projection itself is unique.
+    The acceptance test is on the residual: any coefficient vector
+    reproducing the right-hand side is as good as any other, because the
+    projection itself is unique.  Raises GramError if the factorization
+    fails or the residual exceeds the tolerance.
     """
     a = system.matrix
     b = system.rhs
     m = b.size
     shift = 1e-12 * np.trace(a) / m
-    norm_b = float(np.linalg.norm(b))
     # The rhs entries carry roundoff of order eps times their absolute-value
     # quadrature sums; no solver can push the residual below that noise.
-    tol = max(rel_tol * norm_b, 100.0 * np.finfo(float).eps * system.rhs_scale)
-
-    def _residual(alpha: np.ndarray) -> float:
-        return float(np.linalg.norm(a @ alpha - b))
-
-    alpha = None
+    tol = max(
+        rel_tol * float(np.linalg.norm(b)), 100.0 * np.finfo(float).eps * system.rhs_scale
+    )
     try:
-        factor = cho_factor(a + shift * np.eye(m), lower=True)
-        candidate = cho_solve(factor, b)
-        if _residual(candidate) <= tol:
-            alpha = candidate
-    except (np.linalg.LinAlgError, ValueError):
-        alpha = None
-
-    if alpha is None:
-        candidate = lsqr(a, b, atol=1e-14, btol=1e-14, iter_lim=50 * m)[0]
-        res = _residual(candidate)
-        if res > tol:
-            raise GramError(
-                f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
-                "check basis and quadrature",
-                residual=res,
-            )
-        alpha = candidate
-
+        alpha = cho_solve(cho_factor(a + shift * np.eye(m), lower=True), b)
+    except np.linalg.LinAlgError as err:
+        raise GramError(f"Gram factorization failed: {err}; check basis and quadrature")
+    res = float(np.linalg.norm(a @ alpha - b))
+    if not res <= tol:
+        raise GramError(
+            f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
+            "check basis and quadrature",
+            residual=res,
+        )
     system.coefficients = alpha
-    system.residual = _residual(alpha)
-    system.condition_estimate = float(np.linalg.cond(system.matrix))
+    system.residual = res
     return alpha
 
 
@@ -448,8 +429,9 @@ class RatioReconstruction:
         """Clipped, domain-renormalized samples plus diagnostics.
 
         Returns (DensityTable, diagnostics dict).  Diagnostics report the
-        raw mass before any clipping, the clipped-away mass, and the largest
-        negative excursion on the requested grid.
+        Gram solve's residual and 2-norm condition number, the raw mass
+        before any clipping, the clipped-away mass, and the largest negative
+        excursion on the requested grid.
         """
         grid = np.asarray(grid, dtype=float)
         raw_vals = np.atleast_1d(self.density(grid))
@@ -460,23 +442,12 @@ class RatioReconstruction:
         diagnostics = {
             "norm_sq": self.norm_sq,
             "residual": self._system.residual,
-            "condition_estimate": self._system.condition_estimate,
+            "condition_estimate": float(np.linalg.cond(self._system.matrix)),
             "raw_mass": raw_mass,
             "clipped_mass": clipped_mass,
             "max_clip": float(np.clip(-raw_vals, 0.0, None).max()),
         }
         return table, diagnostics
-
-
-def reconstruct_density(system: GramSystem, basis: FemBasis, r) -> RatioReconstruction:
-    """Turn a solved Gram system into the stationary-density estimate.
-
-    ``basis`` and ``r`` must be the ones the system was assembled with; the
-    quadrature cached on the system guarantees the remainder norm uses the
-    identical discrete inner product.
-    """
-    del basis, r
-    return RatioReconstruction(system)
 
 
 def project_stationary_density(
@@ -500,5 +471,4 @@ def project_stationary_density(
     kernel = TransitionKernel(diffusion=d, service_prob=mu)
     system = assemble_gram(basis, kernel, r, quad_order=quad_order, tail_order=tail_order)
     solve_gram(system)
-    recon = reconstruct_density(system, basis, r)
-    return basis, system, recon
+    return basis, system, RatioReconstruction(system)

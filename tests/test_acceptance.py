@@ -26,10 +26,10 @@ from midnightq import (
 )
 from midnightq.cli import compare_methods, main
 from midnightq.projection import (
+    RatioReconstruction,
     assemble_gram,
     build_basis,
     project_stationary_density,
-    reconstruct_density,
     solve_gram,
 )
 
@@ -169,7 +169,7 @@ def test_criterion_6_dou_self_test():
     basis = build_basis(lo, lo + m * h, m)
     system = assemble_gram(basis, kernel, dou)
     solve_gram(system)
-    recon = reconstruct_density(system, basis, dou)
+    recon = RatioReconstruction(system)
     grid = np.linspace(dou.mean - 3 * dou.sd, dou.mean + 3 * dou.sd, 241)
     worst = float(np.abs(recon.ratio(grid) - 1.0).max())
     assert worst <= 0.05

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from mpmath import mp
+
 from midnightq import (
+    ChainKernel,
     ConvergenceError,
     ModelParams,
+    UnstableRegimeError,
     build_kernel,
     default_truncation,
     simulate_path,
@@ -90,13 +94,43 @@ class TestStationaryPMF:
     def test_unreachable_tolerance_raises_with_residual(self, params_small):
         kernel = build_kernel(params_small)
         with pytest.raises(ConvergenceError) as err:
-            stationary_pmf(kernel, tol=1e-17, max_iters=50)
+            stationary_pmf(kernel, tol=1e-17)
         assert err.value.residual > 1e-17
 
     def test_invalid_tolerance_rejected(self, params_small):
         kernel = build_kernel(params_small)
         with pytest.raises(ValueError, match="tol"):
             stationary_pmf(kernel, tol=0.0)
+
+    def test_matches_high_precision_solve(self, params_small):
+        # Referee: the same truncated kernel, its float64 entries taken
+        # exactly, solved by LU in 40-digit arithmetic.
+        kernel = build_kernel(params_small, truncation=80)
+        k = kernel.rows.shape[0]
+        with mp.workdps(40):
+            a = mp.matrix(k, k)
+            for i in range(k):
+                for j in range(k):
+                    a[i, j] = mp.mpf(float(kernel.rows[j, i])) - (1 if i == j else 0)
+            for j in range(k):
+                a[0, j] = mp.mpf(1)
+            b = mp.matrix(k, 1)
+            b[0] = mp.mpf(1)
+            x = mp.lu_solve(a, b)
+            referee = np.array([float(x[i]) for i in range(k)])
+        assert tv(stationary_pmf(kernel).mass, referee) <= 1e-14
+
+    def test_overloaded_chain_refused(self):
+        kernel = build_kernel(ModelParams(5, 1.5, 0.25))
+        with pytest.raises(UnstableRegimeError, match="load"):
+            stationary_pmf(kernel)
+
+    def test_nan_residual_refused(self, params_small):
+        rows = build_kernel(params_small, truncation=40).rows.copy()
+        rows[3, 5] = np.nan
+        kernel = ChainKernel(truncation_level=40, rows=rows, params=params_small)
+        with pytest.raises(ConvergenceError):
+            stationary_pmf(kernel)
 
 
 class TestSimulatePath:

@@ -34,6 +34,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config(["exact", "--config", str(cfg_file)])
 
+    def test_lambda_star_config_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"lambda_star": 0.3, "mean_los": 5.3, "n": "25,100", "steps": 2, "replications": 50}
+        ))
+        assert main(["limit-check", "--config", str(cfg_file)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             build_config(["exact", "--bogus", "1"])
@@ -64,6 +72,18 @@ class TestCommands:
     def test_missing_params_exit_2(self, capsys):
         assert main(["exact", "--n", "18"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_exact_overloaded_exit_3(self, capsys):
+        # load 1.5 / (5 * 0.25) = 1.2: the chain is transient
+        assert main(["exact", "--n", "5", "--lambda", "1.5", "--mu", "0.25"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver failure" in captured.err
+
+    def test_simulate_overloaded_warns(self, capsys):
+        args = ["simulate", "--n", "5", "--lambda", "1.5", "--mu", "0.25", "--steps", "200"]
+        assert main(args) == 0
+        assert "warning: load 1.2 >= 1" in capsys.readouterr().err
 
     def test_formula_emits_density(self, tmp_path):
         out = tmp_path / "formula.csv"

@@ -3,38 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from midnightq import ModelParams, derive_diffusion_params, validate_params
+from midnightq import ModelParams, derive_diffusion_params
 
 
 class TestValidateParams:
     def test_large_system_accepted(self):
-        p = validate_params((500, 90.95, 1 / 5.3))
+        p = ModelParams(500, 90.95, 1 / 5.3)
         assert p.n_servers == 500
         assert p.load == pytest.approx(0.964, abs=5e-4)
 
     def test_small_system_accepted(self):
-        p = validate_params((18, 3.03, 1 / 5.3))
+        p = ModelParams(18, 3.03, 1 / 5.3)
         assert p.load == pytest.approx(0.892, abs=5e-4)
 
     def test_mu_above_one_rejected(self):
         with pytest.raises(ValueError, match="daily_service_prob"):
-            validate_params((10, 1.0, 1.5))
+            ModelParams(10, 1.0, 1.5)
 
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError, match="daily_service_prob"):
-            validate_params((10, 1.0, 0.0))
+            ModelParams(10, 1.0, 0.0)
 
     def test_nonpositive_arrival_rate_rejected(self):
         with pytest.raises(ValueError, match="daily_arrival_rate"):
-            validate_params((10, -2.0, 0.5))
+            ModelParams(10, -2.0, 0.5)
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ValueError, match="n_servers"):
-            validate_params((0, 1.0, 0.5))
+            ModelParams(0, 1.0, 0.5)
 
     def test_fractional_server_count_rejected(self):
         with pytest.raises(ValueError, match="n_servers"):
-            validate_params((2.5, 1.0, 0.5))
+            ModelParams(2.5, 1.0, 0.5)
 
     def test_mean_los_constructor_matches_mu(self):
         a = ModelParams.from_mean_los(18, 3.03, 5.3)

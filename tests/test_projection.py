@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from midnightq import (
     DiffusionParams,
     GramError,
+    RatioReconstruction,
     TransitionKernel,
     apply_kernel_operator,
     assemble_gram,
@@ -15,7 +16,6 @@ from midnightq import (
     derive_diffusion_params,
     dou_stationary_density,
     proxy_density,
-    reconstruct_density,
     solve_gram,
 )
 from midnightq.projection import GramSystem, PiecewiseLinear, lf_hat_matrix
@@ -222,6 +222,10 @@ class TestSolveGram:
             weighted_norm = math.sqrt(float(w @ diff**2))
             assert weighted_norm <= 1e-10
 
+    def test_indefinite_system_raises(self):
+        with pytest.raises(GramError, match="factorization"):
+            solve_gram(synthetic_system(np.diag([1.0, -1.0]), np.array([1.0, 1.0])))
+
     def test_inconsistent_system_raises_with_residual(self):
         a = np.diag([1.0, 0.0])
         b = np.array([0.0, 1.0])
@@ -240,12 +244,12 @@ class TestReconstruction:
     def test_unsolved_system_rejected(self, params_small):
         *_, system = small_setup(params_small, m=16)
         with pytest.raises(GramError, match="solve"):
-            reconstruct_density(system, system.basis, system.reference)
+            RatioReconstruction(system)
 
     def test_small_system_mass_and_positivity(self, params_small):
         d, mu, r, basis, kernel, system = small_setup(params_small, m=160)
         solve_gram(system)
-        recon = reconstruct_density(system, basis, r)
+        recon = RatioReconstruction(system)
         assert recon.norm_sq > 0.0
         raw, clipped = recon.domain_mass()
         assert 0.98 <= raw <= 1.02
@@ -277,14 +281,14 @@ class TestReconstruction:
         basis = build_basis(lo, lo + m * h, m)
         system = assemble_gram(basis, kernel, dou)
         solve_gram(system)
-        recon = reconstruct_density(system, basis, dou)
+        recon = RatioReconstruction(system)
         grid = np.linspace(dou.mean - 3 * dou.sd, dou.mean + 3 * dou.sd, 241)
         assert np.abs(recon.ratio(grid) - 1.0).max() <= 0.05
 
     def test_bin_masses_converged_and_match_quadrature(self, params_small):
         d, mu, r, basis, kernel, system = small_setup(params_small, m=96)
         solve_gram(system)
-        recon = reconstruct_density(system, basis, r)
+        recon = RatioReconstruction(system)
         edges = np.arange(-20.5, 60.5)
         coarse = recon.bin_masses(edges, points_per_bin=8)
         fine = recon.bin_masses(edges, points_per_bin=64)
@@ -313,7 +317,7 @@ class TestReconstruction:
             basis = default_basis(d, num_elements)
             system = assemble_gram(basis, kernel, r)
             solve_gram(system)
-            recon = reconstruct_density(system, basis, r)
+            recon = RatioReconstruction(system)
             qr = recon.ratio(span) * r(span)
             worst = 0.0
             for g in held_out:
