@@ -10,6 +10,8 @@ land above it is folded into the top state so every row stays stochastic.
 from __future__ import annotations
 
 import math
+import os
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,11 @@ def binomial_pmf(trials: int, prob: float) -> np.ndarray:
     if trials == 0:
         return np.ones(1)
     d = np.arange(trials + 1, dtype=float)
+    log_factorial = gammaln(d + 1.0)  # reversed, it is lnGamma(trials - d + 1)
     logpmf = (
         gammaln(trials + 1.0)
-        - gammaln(d + 1.0)
-        - gammaln(trials - d + 1.0)
+        - log_factorial
+        - log_factorial[::-1]
         + d * math.log(prob)
         + (trials - d) * math.log1p(-prob)
     )
@@ -127,6 +130,9 @@ def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
 
     Row ``x`` is the departure-then-arrival convolution; mass that would
     exceed the top state is added to the top entry, so each row sums to 1.
+    Refuses with ValueError, before allocating, a truncation whose kernel
+    and the stationary solve's LU copy would take over half of physical
+    memory.
     """
     if truncation is None:
         truncation = default_truncation(p)
@@ -136,6 +142,14 @@ def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
             f"truncation below server count ({truncation} < {n})"
         )
     k_max = int(truncation)
+    needed = 16 * (k_max + 1) ** 2  # float64 kernel plus its LU copy
+    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    if needed > available:
+        raise ValueError(
+            f"dense kernel at truncation {k_max} needs {needed / 2**30:.1f} GiB "
+            f"with its LU copy, over half of physical memory "
+            f"({available / 2**30:.1f} GiB); set a lower --truncation"
+        )
     lam = p.daily_arrival_rate
     mu = p.daily_service_prob
 
@@ -211,13 +225,33 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     return StationaryPMF(support=kernel.states, mass=pi, params=p, residual=residual)
 
 
-# Coin matrices are drawn in fixed-size blocks so the stream consumed by a
-# given (seed, params) pair does not depend on the horizon split.
-_COIN_BUDGET = 1 << 23
+# Days are drawn in blocks of fixed size, each block's uniforms and then its
+# arrivals, so a path is a prefix of every longer path with the same seed.
+_BLOCK_DAYS = 1 << 16
+# A 53-bit uniform takes 2^53 equally likely values, so it cannot resolve a
+# tail of mass below 2^-53; the departure tables drop such tails.
+_RESOLUTION = 2.0**-53
 
 
 def _path_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=seed))
+
+
+def _departure_cuts(busy: int, mu: float) -> tuple[int, list[float]]:
+    """Inverse-CDF table of the Binomial(busy, mu) departures.
+
+    Returns ``(offset, cuts)``: ``offset + bisect_right(cuts, u)`` is the
+    departure count for a uniform ``u``.  The cuts are the first ``busy``
+    CDF values, so the count never exceeds ``busy`` even if the cumulative
+    sum ends a few ulps below one.  Cuts with less than ``_RESOLUTION`` of
+    mass below or above them are dropped; the offset keeps the count.
+    """
+    pmf = binomial_pmf(busy, mu)
+    cdf = np.cumsum(pmf[:-1])
+    above = np.cumsum(pmf[:0:-1])  # above[j] = P(D >= busy - j)
+    hi = busy - int(np.searchsorted(above, _RESOLUTION))
+    lo = min(int(np.searchsorted(cdf, _RESOLUTION)), hi)
+    return lo, cdf[lo:hi].tolist()
 
 
 def simulate_path(
@@ -228,10 +262,9 @@ def simulate_path(
 ) -> SimulatedPath:
     """Simulate ``horizon`` days of the midnight count, reproducibly.
 
-    Departures use one Bernoulli coin per occupied server (the first
-    ``min(x, N)`` coins of that day's row), which realizes the exact
-    Binomial(min(x, N), mu) law while letting whole blocks of days be
-    pre-drawn at once.
+    Each day draws one uniform and one Poisson arrival count; the departures
+    invert the Binomial(min(x, N), mu) CDF at the uniform.  The CDF table of
+    a busy count is built when the path first visits it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
@@ -246,18 +279,29 @@ def simulate_path(
     counts = np.empty(horizon + 1, dtype=np.int64)
     counts[0] = x
 
-    chunk = max(1, _COIN_BUDGET // (n + 1))
+    tables: list = [None] * n  # busy count below N -> (offset, cuts)
+    full_offset, full_cuts = _departure_cuts(n, mu)
+    full_cuts = np.array(full_cuts)
     pos = 0
     while pos < horizon:
-        days = min(chunk, horizon - pos)
-        coins = rng.random((days, n)) < mu
-        departures = np.cumsum(coins, axis=1, dtype=np.int32)  # counts fit easily
-        arrivals = rng.poisson(lam, days)
-        for i in range(days):
-            z = x if x < n else n
-            d = departures[i, z - 1] if z > 0 else 0
-            x = int(x - d + arrivals[i])
-            counts[pos + 1 + i] = x
+        days = min(_BLOCK_DAYS, horizon - pos)
+        uniforms = rng.random(_BLOCK_DAYS)[:days]
+        arrivals = rng.poisson(lam, _BLOCK_DAYS)[:days]
+        # From x >= N a day's step depends on its draws alone, so the block's
+        # saturated steps are inverted at once.
+        saturated = arrivals - full_offset - np.searchsorted(full_cuts, uniforms, side="right")
+        block = []
+        append = block.append
+        for u, a, step in zip(uniforms.tolist(), arrivals.tolist(), saturated.tolist()):
+            if x >= n:
+                x += step
+            else:
+                table = tables[x]
+                if table is None:
+                    table = tables[x] = _departure_cuts(x, mu)
+                x += a - table[0] - bisect_right(table[1], u)
+            append(x)
+        counts[pos + 1 : pos + 1 + days] = block
         pos += days
 
     return SimulatedPath(seed=seed, counts=counts, params=p)
@@ -287,6 +331,25 @@ def simulate_replications(
         a = rng.poisson(p.daily_arrival_rate, n_paths)
         x = x - d + a
     return x
+
+
+_SE_BATCHES = 32
+
+
+def batch_means_se(samples: np.ndarray) -> float:
+    """Standard error of the mean of a correlated series, by batch means.
+
+    The series is cut into ``_SE_BATCHES`` batches of equal length (fewer
+    for a shorter series; the oldest leftover samples are dropped), and the
+    spread of the batch means gives the standard error.  Needs at least two
+    samples.
+    """
+    batches = min(_SE_BATCHES, samples.size)
+    if batches < 2:
+        raise ValueError("batch means need at least two samples")
+    size = samples.size // batches
+    means = samples[samples.size - batches * size :].reshape(batches, size).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(batches))
 
 
 def empirical_pmf(counts: np.ndarray, burn_in: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -260,6 +260,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             "burn_in": burn_in,
             "seed": cfg.seed,
             "mean": float(tail.mean()),
+            "mean_se": chain_mod.batch_means_se(tail),
             "sd": float(tail.std()),
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)

@@ -16,7 +16,7 @@ from midnightq import (
     simulate_replications,
     stationary_pmf,
 )
-from midnightq.chain import empirical_pmf, poisson_pmf
+from midnightq.chain import _departure_cuts, binomial_pmf, empirical_pmf, poisson_pmf
 
 
 def tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -53,6 +53,12 @@ class TestBuildKernel:
 
     def test_default_truncation_clears_server_count(self, params_large):
         assert default_truncation(params_large) > params_large.n_servers
+
+    def test_kernel_too_large_for_memory_refused(self):
+        # Load 0.999 at N = 500: K = 41,214, a 25.3 GiB kernel with its LU copy.
+        p = ModelParams.from_mean_los(500, 0.999 * 500 / 5.3, 5.3)
+        with pytest.raises(ValueError, match="--truncation"):
+            build_kernel(p)
 
     def test_row_sums_random_sweep(self):
         rng = np.random.default_rng(7)
@@ -163,6 +169,52 @@ class TestSimulatePath:
         path = simulate_path(params, 10_000_000, seed=7)
         _, freq = empirical_pmf(path.counts, burn_in=10_000)
         assert tv(freq, pi.mass) < 0.005
+
+    def test_one_day_law_matches_kernel(self, params_small):
+        # Each visit to a state draws an independent next state, so the
+        # next-day counts from a state are multinomial on its kernel row.
+        counts = simulate_path(params_small, 1_000_000, seed=11).counts
+        rows = build_kernel(params_small).rows
+        visited = np.bincount(counts[:-1])
+        n = params_small.n_servers
+        # The three most visited states lie below N; N and N + 1 add the
+        # saturated table.
+        for state in [*np.argsort(visited)[-3:], n, n + 1]:
+            nxt = counts[1:][counts[:-1] == state]
+            row = rows[state]
+            expected_tv = float(np.sqrt(row * (1 - row) / (2 * math.pi * nxt.size)).sum())
+            assert tv(np.bincount(nxt) / nxt.size, row) <= 4 * expected_tv
+
+    @pytest.mark.parametrize("short, long", [(1000, 5000), (70_000, 140_000)])
+    def test_path_is_prefix_of_longer_path(self, params_small, short, long):
+        a = simulate_path(params_small, short, seed=4).counts
+        b = simulate_path(params_small, long, seed=4).counts
+        assert np.array_equal(a, b[: short + 1])
+
+    def test_large_pool_smoke(self):
+        n = 20_000
+        p = ModelParams.from_mean_los(n, 0.95 * n / 5.3, 5.3)
+        path = simulate_path(p, 20_000, seed=0).counts
+        assert path.min() >= 0
+        assert np.all(path[1:] >= path[:-1] - n)
+
+    @pytest.mark.parametrize("busy", [1, 18, 66, 500])
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+    def test_departure_table_inverts_binomial(self, busy, mu):
+        # The law the table gives a uniform equals binomial_pmf up to that
+        # pmf's own normalization error, which lands on the top kept count.
+        offset, cuts = _departure_cuts(busy, mu)
+        implied = np.zeros(busy + 1)
+        implied[offset : offset + len(cuts) + 1] = np.diff([0.0, *cuts, 1.0])
+        pmf = binomial_pmf(busy, mu)
+        assert np.abs(implied - pmf).sum() <= abs(1.0 - pmf.sum()) + 1e-14
+
+    def test_departure_table_is_trimmed(self):
+        # Binomial(19000, 0.2) has sd 55: the table keeps only the cuts a
+        # 53-bit uniform can tell apart, not all 19,000.
+        offset, cuts = _departure_cuts(19_000, 0.2)
+        assert len(cuts) < 1000
+        assert 3000 < offset < 3800
 
     def test_replications_deterministic_and_shaped(self, params_small):
         a = simulate_replications(params_small, 10, 500, seed=9)

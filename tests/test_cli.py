@@ -1,4 +1,6 @@
 import json
+import statistics
+import time
 
 import pytest
 
@@ -85,6 +87,26 @@ class TestCommands:
         assert main(args) == 0
         assert "warning: load 1.2 >= 1" in capsys.readouterr().err
 
+    def test_exact_kernel_too_large_exit_2(self, capsys):
+        # Load 0.999: the default truncation would need a 25.3 GiB kernel.
+        lam = repr(0.999 * 500 / 5.3)
+        start = time.perf_counter()
+        assert main(["exact", "--n", "500", "--lambda", lam, "--mean-los", "5.3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "--truncation" in capsys.readouterr().err
+
+    def test_simulate_mean_se_matches_seed_spread(self, capsys):
+        means, ses = [], []
+        for seed in range(8):
+            args = ["simulate", *SMALL_ARGS, "--steps", "100000", "--seed", str(seed),
+                    "--format", "json"]
+            assert main(args) == 0
+            payload = json.loads(capsys.readouterr().out)
+            means.append(payload["mean"])
+            ses.append(payload["mean_se"])
+        spread = statistics.stdev(means)
+        assert all(spread / 3 <= se <= 3 * spread for se in ses)
+
     def test_formula_emits_density(self, tmp_path):
         out = tmp_path / "formula.csv"
         assert main(["formula", *SMALL_ARGS, "--out", str(out)]) == 0
@@ -108,6 +130,13 @@ class TestCommands:
             "condition_estimate",
             "clipped_mass",
         }
+
+    def test_projection_small_stay_solves(self, capsys):
+        # The shifted Cholesky solve alone left residual 1.3e-12 > tol 1.1e-14 here.
+        args = ["projection", "--n", "46", "--lambda", "19.175", "--mean-los", "1.111",
+                "--elements", "32"]
+        assert main(args) == 0
+        capsys.readouterr()
 
     def test_simulate_seeded_runs_are_identical(self, tmp_path):
         out1 = tmp_path / "s1.csv"

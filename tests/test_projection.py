@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from midnightq import (
     DiffusionParams,
+    ModelParams,
     GramError,
     RatioReconstruction,
     TransitionKernel,
@@ -225,6 +226,19 @@ class TestSolveGram:
     def test_indefinite_system_raises(self):
         with pytest.raises(GramError, match="factorization"):
             solve_gram(synthetic_system(np.diag([1.0, -1.0]), np.array([1.0, 1.0])))
+
+    @pytest.mark.parametrize(
+        "n, lam, mean_los, elements",
+        [(1808, 391.05, 4.193, 90), (1423, 32.58, 40.15, 319)],
+    )
+    def test_refinement_clears_shift_residual(self, n, lam, mean_los, elements):
+        # Stable systems whose shifted Cholesky residual, about shift * |alpha|,
+        # sat just above the tolerance before refinement.
+        params = ModelParams.from_mean_los(n, lam, mean_los)
+        *_, system = small_setup(params, m=elements)
+        alpha = solve_gram(system)
+        tol = 100.0 * np.finfo(float).eps * system.rhs_scale
+        assert np.linalg.norm(system.matrix @ alpha - system.rhs) <= tol
 
     def test_inconsistent_system_raises_with_residual(self):
         a = np.diag([1.0, 0.0])
