@@ -5,6 +5,8 @@ One day of the queue moves the count ``x`` to ``x - D + A`` where
 ``A ~ Poisson(lam)`` are the arrivals accumulated during the day.  The chain
 is truncated at a configurable top state; any probability mass that would
 land above it is folded into the top state so every row stays stochastic.
+A day's step A - D leaves a fixed band of offsets only with probability
+below 2^-60, so the kernel is stored and factored as that band.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import gammaln
 
 from .model import ModelParams, UnstableRegimeError, derive_diffusion_params
@@ -51,17 +54,36 @@ def binomial_pmf(trials: int, prob: float) -> np.ndarray:
     return np.exp(logpmf)
 
 
+# Tail mass a kernel row may drop: each row keeps the one-day steps outside
+# of which either tail holds less than this.
+_TAIL = 2.0**-60
+
+
 @dataclass(frozen=True, eq=False)
 class ChainKernel:
-    """One-day transition matrix of the truncated midnight-count chain."""
+    """One-day transition matrix of the truncated midnight-count chain.
+
+    Stored as its band: ``band[x, m]`` is the probability of the step from
+    ``x`` to ``x - kl + m``, so ``kl`` is the largest step down and ``ku``
+    the largest step up that a row keeps.  Entries for states outside
+    {0, ..., truncation_level} are zero.  Read in column-major order, the
+    array is the BLAS/LAPACK band storage of P^T.
+    """
 
     truncation_level: int
-    rows: np.ndarray
+    band: np.ndarray
+    kl: int
+    ku: int
     params: ModelParams
 
     @property
     def states(self) -> np.ndarray:
         return np.arange(self.truncation_level + 1)
+
+    def step(self, pi: np.ndarray) -> np.ndarray:
+        """One day of the chain applied to a row vector: ``pi @ P``."""
+        size = self.truncation_level + 1
+        return dgbmv(size, size, self.ku, self.kl, 1.0, self.band.T, pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +147,34 @@ def default_truncation(p: ModelParams) -> int:
     return p.n_servers + math.ceil(spread)
 
 
-def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
-    """Build the one-day transition matrix on {0, ..., truncation}.
+def _step_reach(lam: float, mu: float, n: int) -> tuple[int, int]:
+    """Largest one-day steps down and up, ``(kl, ku)``, that a row keeps.
 
-    Row ``x`` is the departure-then-arrival convolution; mass that would
-    exceed the top state is added to the top entry, so each row sums to 1.
-    Refuses with ValueError, before allocating, a truncation whose kernel
-    and the stationary solve's LU copy would take over half of physical
-    memory.
+    A day moves x to x - D + A with D <= min(x, N) departures, so the up
+    steps of every row are bounded by the arrivals A, and the down steps by
+    those of the saturated displacement law (D ~ Binomial(N, mu) is the
+    stochastically largest departure count).  Each tail beyond the reach
+    holds less than ``_TAIL``.
+    """
+    arrivals = poisson_pmf(lam, math.ceil(lam + 12.0 * math.sqrt(lam) + 30.0))
+    at_least = np.cumsum(arrivals[::-1])[::-1]  # P(k <= A), summed from the far tail up
+    ku = int(np.argmax(at_least < _TAIL)) - 1
+    displacement = np.convolve(binomial_pmf(n, mu)[::-1], arrivals[: ku + 1])
+    # index i of `displacement` is the step i - N
+    below = int(np.argmax(np.cumsum(displacement) >= _TAIL))
+    return max(n - below, 0), ku
+
+
+def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
+    """Build the one-day transition band on {0, ..., truncation}.
+
+    Row 0 is the arrival law Poisson(lam); one more customer in service adds
+    a survivor with probability 1 - mu, so row x + 1 is
+    ``mu * row_x[y] + (1 - mu) * row_x[y - 1]``, a sum of positive terms.
+    Rows x >= N shift the saturated row N.  Mass beyond the top state is
+    folded into it.  Refuses with ValueError, before allocating, a
+    truncation whose banded LU storage, ``8 (2 ku + kl + 1) (K + 1)``
+    bytes, would take over half of physical memory.
     """
     if truncation is None:
         truncation = default_truncation(p)
@@ -142,50 +184,56 @@ def build_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
             f"truncation below server count ({truncation} < {n})"
         )
     k_max = int(truncation)
-    needed = 16 * (k_max + 1) ** 2  # float64 kernel plus its LU copy
+    lam = p.daily_arrival_rate
+    mu = p.daily_service_prob
+    kl, ku = _step_reach(lam, mu, n)
+    needed = 8 * (2 * ku + kl + 1) * (k_max + 1)
     available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
     if needed > available:
         raise ValueError(
-            f"dense kernel at truncation {k_max} needs {needed / 2**30:.1f} GiB "
-            f"with its LU copy, over half of physical memory "
+            f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs "
+            f"{needed / 2**30:.1f} GiB, over half of physical memory "
             f"({available / 2**30:.1f} GiB); set a lower --truncation"
         )
-    lam = p.daily_arrival_rate
-    mu = p.daily_service_prob
 
-    arrivals = poisson_pmf(lam, k_max)
-    rows = np.zeros((k_max + 1, k_max + 1))
+    band = np.zeros((k_max + 1, kl + ku + 1))
+    arrivals = poisson_pmf(lam, ku)
+    # Log-space evaluation leaves the pmf's scale a few ulps of its log terms
+    # off; the sum fixes it, since the dropped tail is below _TAIL.
+    band[0, kl:] = arrivals / arrivals.sum()
+    # 1 - mu rounds; its exact complement keeps the weights summing to one,
+    # so N steps of the recurrence do not drift the row sums.
+    keep = 1.0 - mu
+    depart = 1.0 - keep
+    for x in range(n):
+        # band[x + 1, m] and band[x, m] describe the same step; band[x, m + 1]
+        # the same next state.
+        band[x + 1] = keep * band[x]
+        band[x + 1, :-1] += depart * band[x, 1:]
+    band[n + 1 :] = band[n]
+    for x in range(max(k_max - ku + 1, 0), k_max + 1):
+        top = k_max - x + kl  # column of state K in row x
+        band[x, top] += band[x, top + 1 :].sum()
+        band[x, top + 1 :] = 0.0
+    return ChainKernel(truncation_level=k_max, band=band, kl=kl, ku=ku, params=p)
 
-    # Saturated states share one displacement law: survivors of N coins plus
-    # the day's arrivals.  Build it once, then shift.
-    survivors_full = binomial_pmf(n, mu)[::-1]  # index i = N - departures
-    displacement = np.convolve(survivors_full, arrivals)
 
-    for x in range(k_max + 1):
-        z = min(x, n)
-        if x < n:
-            survivors = binomial_pmf(z, mu)[::-1] if z > 0 else np.ones(1)
-            full = np.convolve(survivors, arrivals)
-            # index j of `full` is the next state y = (x - z) + j
-            lo = x - z
-            rows[x, lo:] = full[: k_max + 1 - lo]
-        else:
-            lo = x - n
-            rows[x, lo:] = displacement[: k_max + 1 - lo]
-        # Fold the beyond-truncation mass into the top state; roundoff can
-        # leave the row summing a few ulps above one, so clamp at zero.
-        rows[x, k_max] = max(rows[x, k_max] + 1.0 - rows[x].sum(), 0.0)
-
-    return ChainKernel(truncation_level=k_max, rows=rows, params=p)
+def _lapack_check(routine: str, info: int) -> None:
+    """ConvergenceError for a failed LAPACK call; info > 0 is a zero pivot."""
+    if info != 0:
+        reason = f"singular system, zero pivot {info}" if info > 0 else f"bad argument {-info}"
+        raise ConvergenceError(f"banded solve failed in {routine}: {reason}", residual=math.nan)
 
 
 def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     """Solve pi = pi P on the truncated lattice.
 
-    One LU solve of P^T - I with its first row replaced by the normalization
-    row, then one step of iterative refinement with the same factor.  Raises
-    UnstableRegimeError at load >= 1, where the untruncated chain has no
-    stationary law, and ConvergenceError (carrying the residual) if the
+    One banded LU solve of P^T - I with the balance equation of the state
+    x = lam / mu, which carries high mass, replaced by pi_x = 1, then one
+    step of iterative refinement with the same factor, then normalization.
+    Raises UnstableRegimeError at load >= 1, where the untruncated chain
+    has no stationary law, and ConvergenceError (carrying the residual) if
+    the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
     if tol <= 0.0:
@@ -196,27 +244,43 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
             f"chain not positive recurrent at load {p.load:.6g} >= 1: "
             "no stationary law"
         )
-    rows = kernel.rows
-    k = rows.shape[0]
-    system = np.array(rows.T, order="F")
-    system[np.diag_indices(k)] -= 1.0
-    system[0, :] = 1.0  # replace one balance equation with the normalization
-    factor = lu_factor(system, overwrite_a=True, check_finite=False)
-    rhs = np.zeros(k)
-    rhs[0] = 1.0
-    pi = lu_solve(factor, rhs, check_finite=False)
-    # Refinement residual from the kernel itself, not from the overwritten system.
-    correction = pi - pi @ rows
-    correction[0] = 1.0 - pi.sum()
-    pi += lu_solve(factor, correction, check_finite=False)
+    band, kl, ku = kernel.band, kernel.kl, kernel.ku
+    if not np.isfinite(band).all():
+        raise ConvergenceError("kernel holds non-finite entries", residual=math.nan)
+    size = kernel.truncation_level + 1
+    pin = min(int(p.daily_arrival_rate / p.daily_service_prob), size - 1)
+    # LAPACK band storage of P^T - I, column-major: column x holds row x of P
+    # below ku rows of room for the pivoting fill-in.
+    system = np.zeros((size, 2 * ku + kl + 1))
+    system[:, ku:] = band
+    system[:, ku + kl] -= 1.0
+    # Row `pin` of P^T - I has entries in columns pin - ku .. pin + kl.
+    cols = np.arange(max(pin - ku, 0), min(pin + kl + 1, size))
+    system[cols, ku + kl + pin - cols] = 0.0
+    system[pin, ku + kl] = 1.0
+    factor, pivots, info = dgbtrf(system.T, ku, kl, overwrite_ab=True)
+    _lapack_check("dgbtrf", info)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = dgbtrs(factor, ku, kl, rhs, pivots, overwrite_b=True)
+        _lapack_check("dgbtrs", info)
+        return x
+
+    rhs = np.zeros(size)
+    rhs[pin] = 1.0
+    pi = solve(rhs)
+    correction = pi - kernel.step(pi)
+    correction[pin] = 1.0 - pi[pin]
+    pi += solve(correction)
+    pi /= pi.sum()
     if pi.min() < -1e-10:
         raise ConvergenceError(
             f"stationary solve produced negative mass {pi.min():.3e}",
-            residual=float(np.abs(pi @ rows - pi).sum()),
+            residual=float(np.abs(kernel.step(pi) - pi).sum()),
         )
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ rows - pi).sum())
+    residual = float(np.abs(kernel.step(pi) - pi).sum())
     if not residual <= tol:
         raise ConvergenceError(
             f"stationary solve did not reach tol={tol:g}; residual={residual:.3e}",

@@ -331,6 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, help="simulation days / harness horizon")
     parser.add_argument("--replications", type=int, help="harness replications")
     parser.add_argument("--seed", type=int, help="PRNG seed (default 0)")
+    parser.add_argument(
+        "--beta-star", type=float, help="limit-check: sqrt(N)(1 - load) of every size (default 1)"
+    )
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     return parser

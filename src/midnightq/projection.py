@@ -29,6 +29,9 @@ from .model import DiffusionParams
 from .diffusion import DensityTable, TransitionKernel, proxy_density
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# Bound on |projected| below which it is taken as 0: far under the 2^-54 that
+# 1 - projected would need to differ from 1.0.
+_FAR_FIELD = 2.0**-60
 
 
 class GramError(RuntimeError):
@@ -384,9 +387,25 @@ class RatioReconstruction:
         self.norm_sq = norm_sq
 
     def projected(self, x):
-        """The projected constant function, evaluable anywhere."""
+        """The projected constant function, evaluable anywhere.
+
+        Off the grid the hats vanish, so |alpha . L f(x)| is at most
+        sum |alpha_i| times the mass of the step from x that lands on the
+        grid.  Where that bound is below ``_FAR_FIELD`` the hats are not
+        evaluated and the value is 0; 1 - projected rounds to 1.0 either way.
+        The product with alpha still runs over every point, because BLAS
+        rounds a column's dot product differently at another offset.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._alpha @ lf_hat_matrix(self._system.basis, self._system.kernel, x_arr)
+        basis, kernel = self._system.basis, self._system.kernel
+        means = np.asarray(kernel.step_base(x_arr), dtype=float) + kernel.diffusion.drift
+        beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
+        reach = ndtr(-beyond / math.sqrt(kernel.diffusion.variance))
+        off_grid = (x_arr < basis.grid_lo) | (x_arr > basis.grid_hi)
+        near = ~off_grid | (np.abs(self._alpha).sum() * reach >= _FAR_FIELD)
+        lf = np.zeros((self._alpha.size, x_arr.size))
+        lf[:, near] = lf_hat_matrix(basis, kernel, x_arr[near])
+        out = self._alpha @ lf
         return out if np.ndim(x) else float(out[0])
 
     def ratio(self, x):

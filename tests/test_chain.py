@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpmath import mp
+from scipy import stats
 
 from midnightq import (
     ChainKernel,
@@ -28,24 +29,34 @@ def tv(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
+def dense_rows(kernel: ChainKernel) -> np.ndarray:
+    """The kernel's band spread into the full (K+1) x (K+1) matrix."""
+    size = kernel.truncation_level + 1
+    width = kernel.band.shape[1]
+    rows = np.zeros((size, size + width))
+    for x in range(size):
+        rows[x, x : x + width] = kernel.band[x]  # column x + m is state x - kl + m
+    return rows[:, kernel.kl : kernel.kl + size]
+
+
 class TestBuildKernel:
     def test_single_server_hand_convolution(self):
         # From state 1: next state 0 needs one departure and zero arrivals.
         kernel = build_kernel(ModelParams(1, 0.4, 0.5), truncation=30)
-        assert kernel.rows[1, 0] == pytest.approx(0.5 * math.exp(-0.4), rel=1e-14)
+        assert dense_rows(kernel)[1, 0] == pytest.approx(0.5 * math.exp(-0.4), rel=1e-14)
 
     def test_rows_are_stochastic(self, params_small):
-        kernel = build_kernel(params_small)
-        sums = kernel.rows.sum(axis=1)
+        rows = dense_rows(build_kernel(params_small))
+        sums = rows.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-12
-        assert kernel.rows.min() >= 0.0
+        assert rows.min() >= 0.0
 
     def test_empty_state_row_is_truncated_poisson(self):
         p = ModelParams(4, 1.3, 0.3)
         kernel = build_kernel(p, truncation=40)
         expected = poisson_pmf(1.3, 40)
         expected[-1] += 1.0 - expected.sum()
-        assert np.abs(kernel.rows[0] - expected).max() <= 1e-15
+        assert np.abs(dense_rows(kernel)[0] - expected).max() <= 1e-15
 
     def test_truncation_below_server_count_rejected(self):
         with pytest.raises(ValueError, match="truncation below server count"):
@@ -55,10 +66,11 @@ class TestBuildKernel:
         assert default_truncation(params_large) > params_large.n_servers
 
     def test_kernel_too_large_for_memory_refused(self):
-        # Load 0.999 at N = 500: K = 41,214, a 25.3 GiB kernel with its LU copy.
+        # N = 500 at load 0.999 with a truncation of 10^9 states: the banded
+        # LU storage would take terabytes.
         p = ModelParams.from_mean_los(500, 0.999 * 500 / 5.3, 5.3)
         with pytest.raises(ValueError, match="--truncation"):
-            build_kernel(p)
+            build_kernel(p, truncation=10**9)
 
     def test_row_sums_random_sweep(self):
         rng = np.random.default_rng(7)
@@ -67,7 +79,32 @@ class TestBuildKernel:
             mu = float(rng.uniform(0.05, 0.95))
             lam = float(rng.uniform(0.2, 1.3) * n * mu)
             kernel = build_kernel(ModelParams(n, lam, mu), truncation=n + 60)
-            assert np.abs(kernel.rows.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(dense_rows(kernel).sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, lam, mu", [(1, 0.4, 0.5), (18, 3.03, 1 / 5.3), (66, 11.37, 1 / 5.3), (500, 90.95, 1 / 5.3)]
+    )
+    def test_rows_match_scipy_convolution(self, n, lam, mu):
+        # Independent rows: Binomial(min(x, N), 1 - mu) survivors plus the
+        # x - N waiting, convolved with Poisson(lam), beyond-K mass on K.
+        kernel = build_kernel(ModelParams(n, lam, mu))
+        k_max = kernel.truncation_level
+        rows = dense_rows(kernel)
+        arrivals = stats.poisson.pmf(np.arange(k_max + 300), lam)
+        for x in sorted({0, n // 2, max(n - 1, 0), n, n + 1, (n + k_max) // 2, k_max - 1, k_max}):
+            busy = min(x, n)
+            full = np.convolve(stats.binom.pmf(np.arange(busy + 1), busy, 1.0 - mu), arrivals)
+            expected = np.zeros(k_max + 1)
+            lo = x - busy  # full[j] is the next state lo + j
+            expected[lo:] = full[: k_max + 1 - lo]
+            expected[-1] += full[k_max + 1 - lo :].sum()
+            assert np.abs(rows[x] - expected).sum() <= 1e-13, x
+
+    def test_top_state_holds_only_its_tail(self, params_large):
+        # The top state gets the mass that truly lands beyond it, about 7e-21
+        # at N = 500, not each row's rounding error.
+        pi = stationary_pmf(build_kernel(params_large))
+        assert pi.mass[-1] <= 1e-18
 
 
 class TestStationaryPMF:
@@ -112,12 +149,13 @@ class TestStationaryPMF:
         # Referee: the same truncated kernel, its float64 entries taken
         # exactly, solved by LU in 40-digit arithmetic.
         kernel = build_kernel(params_small, truncation=80)
-        k = kernel.rows.shape[0]
+        rows = dense_rows(kernel)
+        k = rows.shape[0]
         with mp.workdps(40):
             a = mp.matrix(k, k)
             for i in range(k):
                 for j in range(k):
-                    a[i, j] = mp.mpf(float(kernel.rows[j, i])) - (1 if i == j else 0)
+                    a[i, j] = mp.mpf(float(rows[j, i])) - (1 if i == j else 0)
             for j in range(k):
                 a[0, j] = mp.mpf(1)
             b = mp.matrix(k, 1)
@@ -132,10 +170,20 @@ class TestStationaryPMF:
             stationary_pmf(kernel)
 
     def test_nan_residual_refused(self, params_small):
-        rows = build_kernel(params_small, truncation=40).rows.copy()
-        rows[3, 5] = np.nan
-        kernel = ChainKernel(truncation_level=40, rows=rows, params=params_small)
+        kernel = build_kernel(params_small, truncation=40)
+        band = kernel.band.copy()
+        band[3, 5] = np.nan
+        kernel = ChainKernel(40, band, kernel.kl, kernel.ku, params_small)
         with pytest.raises(ConvergenceError):
+            stationary_pmf(kernel)
+
+    def test_singular_factor_refused(self, params_small):
+        # The identity kernel: every state absorbing, P^T - I singular.
+        kernel = build_kernel(params_small, truncation=40)
+        band = np.zeros_like(kernel.band)
+        band[:, kernel.kl] = 1.0
+        kernel = ChainKernel(40, band, kernel.kl, kernel.ku, params_small)
+        with pytest.raises(ConvergenceError, match="singular"):
             stationary_pmf(kernel)
 
 
@@ -174,7 +222,7 @@ class TestSimulatePath:
         # Each visit to a state draws an independent next state, so the
         # next-day counts from a state are multinomial on its kernel row.
         counts = simulate_path(params_small, 1_000_000, seed=11).counts
-        rows = build_kernel(params_small).rows
+        rows = dense_rows(build_kernel(params_small))
         visited = np.bincount(counts[:-1])
         n = params_small.n_servers
         # The three most visited states lie below N; N and N + 1 add the

@@ -88,10 +88,11 @@ class TestCommands:
         assert "warning: load 1.2 >= 1" in capsys.readouterr().err
 
     def test_exact_kernel_too_large_exit_2(self, capsys):
-        # Load 0.999: the default truncation would need a 25.3 GiB kernel.
+        # A truncation of 10^9 states: the banded LU would take terabytes.
         lam = repr(0.999 * 500 / 5.3)
+        args = ["exact", "--n", "500", "--lambda", lam, "--mean-los", "5.3"]
         start = time.perf_counter()
-        assert main(["exact", "--n", "500", "--lambda", lam, "--mean-los", "5.3"]) == 2
+        assert main([*args, "--truncation", "1000000000"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "--truncation" in capsys.readouterr().err
 
@@ -157,6 +158,24 @@ class TestCommands:
         assert "warning" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert [e["n"] for e in payload["entries"]] == [25, 100]
+
+    def test_beta_star_flag_matches_config_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"beta_star": 0.5}))
+        args = ["limit-check", "--n", "25,100", "--mean-los", "5.3",
+                "--steps", "3", "--replications", "200", "--seed", "2"]
+        assert main([*args, "--beta-star", "0.5"]) == 0
+        by_flag = capsys.readouterr().out
+        assert main([*args, "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out == by_flag
+        assert main(args) == 0
+        assert capsys.readouterr().out != by_flag
+
+    def test_beta_star_too_large_exit_2(self, capsys):
+        # beta_star >= sqrt(4) leaves the N = 4 system no arrivals.
+        args = ["limit-check", "--n", "4,25", "--mean-los", "5.3", "--beta-star", "2.5"]
+        assert main(args) == 2
+        assert "beta_star" in capsys.readouterr().err
 
     def test_limit_check_rejects_csv(self, capsys):
         args = ["limit-check", "--n", "25,100", "--mu", "0.2", "--format", "csv"]

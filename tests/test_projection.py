@@ -14,11 +14,14 @@ from midnightq import (
     assemble_gram,
     build_basis,
     default_basis,
+    default_truncation,
     derive_diffusion_params,
     dou_stationary_density,
+    project_stationary_density,
     proxy_density,
     solve_gram,
 )
+from midnightq.cli import lattice_edges
 from midnightq.projection import GramSystem, PiecewiseLinear, lf_hat_matrix
 
 TOY = DiffusionParams(
@@ -312,6 +315,23 @@ class TestReconstruction:
         oracle, _ = quad(lambda x: max(recon.density(x), 0.0), a, b, limit=200)
         idx = int(a - edges[0])
         assert coarse[idx] == pytest.approx(oracle, abs=1e-10)
+
+    def test_far_field_skip_keeps_bin_masses_bit_for_bit(self, params_large):
+        # At N = 500 about half the lattice points step onto the grid with
+        # mass below 2^-60; skipping their hats must not move a single bit.
+        d = derive_diffusion_params(params_large)
+        _, system, recon = project_stationary_density(d, params_large.daily_service_prob)
+        edges = lattice_edges(params_large.n_servers, default_truncation(params_large))
+        skipped = recon.bin_masses(edges)
+        far = np.array([system.basis.grid_lo - 400.0, system.basis.grid_hi + 200.0])
+        assert np.array_equal(recon.projected(far), np.zeros(2))
+
+        def dense(x):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            return system.coefficients @ lf_hat_matrix(system.basis, system.kernel, x)
+
+        recon.projected = dense
+        assert np.array_equal(recon.bin_masses(edges), skipped)
 
     def test_refining_basis_shrinks_bar_residual(self, params_small):
         # Held-out hats, not aligned with either basis: the weighted residual
