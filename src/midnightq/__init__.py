@@ -51,6 +51,7 @@ from .projection import (
     project_stationary_density,
     solve_gram,
 )
+from .compare import ComparisonReport, compare_methods, lattice_edges
 
 __version__ = "0.1.0"
 
@@ -90,5 +91,8 @@ __all__ = [
     "assemble_gram",
     "solve_gram",
     "project_stationary_density",
+    "ComparisonReport",
+    "compare_methods",
+    "lattice_edges",
     "__version__",
 ]

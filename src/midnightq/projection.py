@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, svdvals
+from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import ndtr
 
 from .model import DiffusionParams
@@ -32,6 +33,9 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Bound on |projected| below which it is taken as 0: far under the 2^-54 that
 # 1 - projected would need to differ from 1.0.
 _FAR_FIELD = 2.0**-60
+# Points per batch of hat evaluations: the (basis size x points) temporaries
+# of one batch stay small enough to be reused from cache.
+_CHUNK = 512
 
 
 class GramError(RuntimeError):
@@ -155,11 +159,17 @@ def _piece_integrals(breaks: np.ndarray, means: np.ndarray, sd: float):
     Returns (I0, I1) of shape (n_pieces, n_means): the Gaussian mass and
     first moment of Normal(mean, sd^2) restricted to each piece.  Uses the
     survival function on the right half so far-tail masses keep relative
-    precision.
+    precision.  One ndtr per break and mean: the smaller tail ndtr(-|z|) is
+    the cdf left of the mean and the survival function right of it, and the
+    other one is its complement.  For |z| >= 1 that complement is exactly
+    ndtr's own value.
     """
     z = (breaks[:, None] - means[None, :]) / sd
-    cdf = ndtr(z)
-    sf = ndtr(-z)
+    tail = ndtr(-np.abs(z))
+    rest = 1.0 - tail
+    right = z > 0.0
+    cdf = np.where(right, rest, tail)
+    sf = np.where(right, tail, rest)
     pdf = np.exp(-0.5 * z * z) / _SQRT2PI
     use_sf = (z[:-1] + z[1:]) > 0.0
     i0 = np.where(use_sf, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
@@ -187,6 +197,19 @@ def _pf_hats(t: np.ndarray, widths, kernel: TransitionKernel, x: np.ndarray) -> 
     return pf
 
 
+def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * rows[i], added up in index order.
+
+    A BLAS product rounds a column's dot product by the column's position
+    and the batch size; this way each column's value is a function of that
+    column alone.
+    """
+    out = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        out += w * row
+    return out
+
+
 def apply_kernel_operator(kernel: TransitionKernel, f, x):
     """One-step expectation P f at the points ``x``, in closed form.
 
@@ -197,14 +220,35 @@ def apply_kernel_operator(kernel: TransitionKernel, f, x):
     if isinstance(f, (int, float)):
         out = np.full(x_arr.shape, float(f))
         return out if np.ndim(x) else float(out[0])
-    out = f.values @ _pf_hats(f.nodes, np.diff(f.nodes)[:, None], kernel, x_arr)
+    out = _combine_rows(f.values, _pf_hats(f.nodes, np.diff(f.nodes)[:, None], kernel, x_arr))
     return out if np.ndim(x) else float(out[0])
 
 
 def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
-    """L applied to every hat (P f - f) at the points ``x``."""
+    """L applied to every hat (P f - f) at the points ``x``.
+
+    A point of the grid in element j is covered by hats j and j + 1 only,
+    but rounding of the node positions can leave a hat one node further
+    slightly positive at a node.  So hats j - 1 to j + 2 are subtracted, each
+    by the formula of ``FemBasis.hat_matrix``; the rest are zero there.
+    P f is evaluated in batches of ``_CHUNK`` points.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _pf_hats(basis.nodes, basis.width, kernel, x) - basis.hat_matrix(x)
+    lf = np.empty((basis.size, x.size))
+    for start in range(0, x.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        lf[:, part] = _pf_hats(basis.nodes, basis.width, kernel, x[part])
+    cols = np.flatnonzero((x >= basis.grid_lo) & (x <= basis.grid_hi))
+    h = basis.width
+    m = basis.num_elements
+    element = np.clip(np.floor((x[cols] - basis.grid_lo) / h).astype(np.intp), 0, m - 1)
+    for offset in (-1, 0, 1, 2):
+        k = element + offset
+        ok = (k >= 0) & (k <= m)
+        hat, col = k[ok], cols[ok]
+        tent = 1.0 - np.abs(x[col] - basis.nodes[hat]) / h
+        lf[hat, col] -= np.clip(tent, 0.0, None)
+    return lf
 
 
 def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,9 +349,12 @@ def assemble_gram(
 
     lf = lf_hat_matrix(basis, kernel, quad_x)
     weighted = lf * np.sqrt(quad_w)[None, :]
-    matrix = weighted @ weighted.T
-    matrix = 0.5 * (matrix + matrix.T)
-    rhs = lf @ quad_w
+    # dsyrk fills the upper triangle of weighted @ weighted.T; mirroring it
+    # makes the matrix exactly symmetric.  The transposes are the Fortran-
+    # ordered views BLAS takes without a copy.
+    upper = dsyrk(1.0, weighted.T, trans=1)
+    matrix = np.triu(upper) + np.triu(upper, 1).T
+    rhs = dgemv(1.0, lf.T, quad_w, trans=1)
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
         raise GramError("non-finite Gram entries; check the reference density scale")
     return GramSystem(
@@ -321,7 +368,7 @@ def assemble_gram(
         lf=lf,
         e_mass=float(quad_w.sum()),
         n_core=core_x.size,
-        rhs_scale=float(np.linalg.norm(np.abs(lf) @ quad_w)),
+        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf).T, quad_w, trans=1))),
     )
 
 
@@ -350,8 +397,8 @@ def solve_gram(system: GramSystem, rel_tol: float = 1e-8) -> np.ndarray:
         raise GramError(f"Gram factorization failed: {err}; check basis and quadrature")
     alpha = cho_solve(factor, b)
     for _ in range(2):
-        alpha += cho_solve(factor, b - a @ alpha)
-    res = float(np.linalg.norm(a @ alpha - b))
+        alpha += cho_solve(factor, b - dsymv(1.0, a, alpha))
+    res = float(np.linalg.norm(dsymv(1.0, a, alpha) - b))
     if not res <= tol:
         raise GramError(
             f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
@@ -378,7 +425,7 @@ class RatioReconstruction:
         self._system = system
         self._alpha = alpha
         norm_sq = float(
-            system.e_mass - 2.0 * alpha @ system.rhs + alpha @ system.matrix @ alpha
+            system.e_mass - 2.0 * alpha @ system.rhs + alpha @ dsymv(1.0, system.matrix, alpha)
         )
         if norm_sq <= 0.0:
             raise GramError(
@@ -393,8 +440,8 @@ class RatioReconstruction:
         sum |alpha_i| times the mass of the step from x that lands on the
         grid.  Where that bound is below ``_FAR_FIELD`` the hats are not
         evaluated and the value is 0; 1 - projected rounds to 1.0 either way.
-        The product with alpha still runs over every point, because BLAS
-        rounds a column's dot product differently at another offset.
+        The other points are evaluated in batches of ``_CHUNK``, and each
+        point's value depends on that point alone.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         basis, kernel = self._system.basis, self._system.kernel
@@ -402,10 +449,11 @@ class RatioReconstruction:
         beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
         reach = ndtr(-beyond / math.sqrt(kernel.diffusion.variance))
         off_grid = (x_arr < basis.grid_lo) | (x_arr > basis.grid_hi)
-        near = ~off_grid | (np.abs(self._alpha).sum() * reach >= _FAR_FIELD)
-        lf = np.zeros((self._alpha.size, x_arr.size))
-        lf[:, near] = lf_hat_matrix(basis, kernel, x_arr[near])
-        out = self._alpha @ lf
+        near = np.flatnonzero(~off_grid | (np.abs(self._alpha).sum() * reach >= _FAR_FIELD))
+        out = np.zeros(x_arr.size)
+        for start in range(0, near.size, _CHUNK):
+            part = near[start : start + _CHUNK]
+            out[part] = _combine_rows(self._alpha, lf_hat_matrix(basis, kernel, x_arr[part]))
         return out if np.ndim(x) else float(out[0])
 
     def ratio(self, x):
@@ -423,7 +471,7 @@ class RatioReconstruction:
     def domain_mass(self) -> tuple[float, float]:
         """(raw mass, clipped-away negative mass) over the working domain."""
         sl = slice(0, self._system.n_core)
-        q = (1.0 - self._system.lf[:, sl].T @ self._alpha) / self.norm_sq
+        q = (1.0 - _combine_rows(self._alpha, self._system.lf[:, sl])) / self.norm_sq
         w = self._system.quad_w[sl]
         raw = float(w @ q)
         clipped = float(w @ np.clip(-q, 0.0, None))
@@ -444,7 +492,7 @@ class RatioReconstruction:
         widths = np.diff(cuts)
         x = (cuts[:-1, None] + widths[:, None] * u[None, :]).ravel()
         vals = np.clip(self.density(x), 0.0, None).reshape(-1, points_per_bin)
-        panel = widths * (vals @ wu)
+        panel = widths * _combine_rows(wu, vals.T)
         masses = np.zeros(edges.size - 1)
         np.add.at(masses, np.searchsorted(edges, cuts[:-1], side="right") - 1, panel)
         return masses
@@ -463,10 +511,11 @@ class RatioReconstruction:
         clipped = np.clip(raw_vals, 0.0, None)
         positive_mass = raw_mass + clipped_mass
         table = DensityTable(x=grid, density=clipped / positive_mass)
+        singular = svdvals(self._system.matrix)
         diagnostics = {
             "norm_sq": self.norm_sq,
             "residual": self._system.residual,
-            "condition_estimate": float(np.linalg.cond(self._system.matrix)),
+            "condition_estimate": float(singular[0] / singular[-1]),
             "raw_mass": raw_mass,
             "clipped_mass": clipped_mass,
             "max_clip": float(np.clip(-raw_vals, 0.0, None).max()),

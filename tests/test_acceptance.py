@@ -24,7 +24,8 @@ from midnightq import (
     stationary_pmf,
     transition_density,
 )
-from midnightq.cli import compare_methods, main
+from midnightq.cli import main
+from midnightq.compare import compare_methods
 from midnightq.projection import (
     RatioReconstruction,
     assemble_gram,

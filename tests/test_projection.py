@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from midnightq import (
     DiffusionParams,
@@ -21,8 +22,15 @@ from midnightq import (
     proxy_density,
     solve_gram,
 )
-from midnightq.cli import lattice_edges
-from midnightq.projection import GramSystem, PiecewiseLinear, lf_hat_matrix
+from midnightq.compare import lattice_edges
+from midnightq.projection import (
+    GramSystem,
+    PiecewiseLinear,
+    _combine_rows,
+    _pf_hats,
+    _piece_integrals,
+    lf_hat_matrix,
+)
 
 TOY = DiffusionParams(
     drift=0.0, variance=1.0, tail_rate=1.0, gaussian_center=-1.0, ou_variance=1.0
@@ -130,6 +138,45 @@ class TestKernelOperator:
             expected = apply_kernel_operator(kernel, hat, xs) - hat(xs)
             assert np.abs(lf[i] - expected).max() <= 1e-13
 
+    def test_one_ndtr_piece_integrals_match_two_ndtr_formula(self, params_small):
+        d = derive_diffusion_params(params_small)
+        breaks = default_basis(d, 160).nodes
+        sd = math.sqrt(d.variance)
+        means = np.linspace(breaks[0] - 10 * sd, breaks[-1] + 10 * sd, 4001)
+        z = (breaks[:, None] - means[None, :]) / sd
+        cdf, sf = ndtr(z), ndtr(-z)
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        use_sf = (z[:-1] + z[1:]) > 0.0
+        ref_i0 = np.where(use_sf, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
+        ref_i1 = means[None, :] * ref_i0 + sd * (pdf[:-1] - pdf[1:])
+
+        i0, i1 = _piece_integrals(breaks, means, sd)
+        # Beyond one sd ndtr is 1 minus the other tail, bit for bit; inside,
+        # the complement and ndtr's own value differ by an ulp of [0.5, 1).
+        far = (np.abs(z[:-1]) >= 1.0) & (np.abs(z[1:]) >= 1.0)
+        assert far.any() and not far.all()
+        assert np.array_equal(i0[far], ref_i0[far])
+        assert np.array_equal(i1[far], ref_i1[far])
+        assert np.all(np.abs(i0 - ref_i0) <= 2 * np.spacing(1.0))
+        ulp_mean = np.spacing(np.maximum(np.abs(means), 1.0))[None, :]
+        assert np.all(np.abs(i1 - ref_i1) <= 2 * ulp_mean)
+
+    def test_lf_hat_matrix_matches_dense_hats_bit_for_bit(self, params_small):
+        d = derive_diffusion_params(params_small)
+        kernel = TransitionKernel(d, params_small.daily_service_prob)
+        basis = default_basis(d, 160)
+        t = basis.nodes
+        xs = np.concatenate(
+            [
+                t,  # every node, both grid ends included
+                np.nextafter(t, -np.inf),
+                np.nextafter(t, np.inf),
+                np.linspace(t[0] - 30.0, t[-1] + 30.0, 5001),
+            ]
+        )
+        dense = _pf_hats(t, basis.width, kernel, xs) - basis.hat_matrix(xs)
+        assert np.array_equal(lf_hat_matrix(basis, kernel, xs), dense)
+
     def test_piecewise_linear_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             PiecewiseLinear(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
@@ -144,6 +191,14 @@ class TestAssembleGram:
         eigs = np.linalg.eigvalsh(a)
         assert eigs.min() >= -1e-10 * eigs.max()
         assert np.all(np.diag(a) >= 0.0)
+
+    def test_gram_matrix_is_exactly_symmetric(self, params_small):
+        *_, system = small_setup(params_small, m=160)
+        a = system.matrix
+        assert np.array_equal(a, a.T)
+        weighted = system.lf * np.sqrt(system.quad_w)[None, :]
+        dense = weighted @ weighted.T
+        assert np.abs(a - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_quadrature_refinement_is_converged(self, params_small):
         # Every entry either moves by < 1e-9 relative under doubled orders or
@@ -328,10 +383,37 @@ class TestReconstruction:
 
         def dense(x):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            return system.coefficients @ lf_hat_matrix(system.basis, system.kernel, x)
+            lf = lf_hat_matrix(system.basis, system.kernel, x)
+            return _combine_rows(system.coefficients, lf)
 
         recon.projected = dense
         assert np.array_equal(recon.bin_masses(edges), skipped)
+
+    def test_point_value_does_not_depend_on_its_batch(self, params_large):
+        # x near 51.518 at N = 500: its value alone, inside the 14,048-point
+        # batch of bin_masses and inside a 7,259-point batch must agree.
+        d = derive_diffusion_params(params_large)
+        _, system, recon = project_stationary_density(d, params_large.daily_service_prob)
+        edges = lattice_edges(params_large.n_servers, default_truncation(params_large))
+        batches = []
+        evaluate = recon.density
+
+        def recording(x):
+            batches.append(np.array(x))
+            return evaluate(x)
+
+        recon.density = recording
+        recon.bin_masses(edges)
+        del recon.density
+        (xs,) = batches
+        assert xs.size == 14_048
+        k = int(np.argmin(np.abs(xs - 51.518)))
+        x = float(xs[k])
+        for f in (recon.projected, recon.density):
+            alone = f(x)
+            assert f(xs)[k] == alone
+            assert f(xs[k : k + 7_259])[0] == alone
+            assert f(xs[k - 3_000 : k + 4_259])[3_000] == alone
 
     def test_refining_basis_shrinks_bar_residual(self, params_small):
         # Held-out hats, not aligned with either basis: the weighted residual
