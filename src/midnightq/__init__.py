@@ -24,6 +24,7 @@ from .chain import (
     simulate_path,
     simulate_replications,
     stationary_pmf,
+    transient_pmf,
 )
 from .diffusion import (
     DensityTable,
@@ -68,6 +69,7 @@ __all__ = [
     "stationary_pmf",
     "simulate_path",
     "simulate_replications",
+    "transient_pmf",
     "TransitionKernel",
     "PiecewiseDensity",
     "NormalDensity",

@@ -147,10 +147,6 @@ class PiecewiseDensity:
         out = np.where(u < split, gauss, expo)
         return out if out.ndim else float(out)
 
-    def integrate(self, a: float, b: float) -> float:
-        """Exact mass on [a, b)."""
-        return float(self.cdf(b) - self.cdf(a))
-
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Exact masses of the half-open bins defined by ``edges``."""
         c = self.cdf(np.asarray(edges, dtype=float))
@@ -201,6 +197,12 @@ def dou_stationary_density(theta: float, sigma2: float, mu: float) -> NormalDens
     return NormalDensity(mean=theta / mu, variance=sigma2 / (2.0 * mu - mu * mu))
 
 
+# Increments are drawn in blocks of this many steps.  Generator.normal gives
+# the same sequence under any split into blocks, so the size only bounds
+# the memory of the list of Python floats a block fills.
+_BLOCK_STEPS = 1 << 16
+
+
 def simulate_diffusion(
     d: DiffusionParams,
     mu: float,
@@ -211,7 +213,8 @@ def simulate_diffusion(
     """Simulate the daily diffusion path, reproducibly.
 
     Gaussian increments are pre-drawn in blocks; the idle-side push is
-    applied sequentially since it depends on the running state.
+    applied sequentially since it depends on the running state, and each
+    block's states are stored with one slice assignment.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
@@ -223,15 +226,15 @@ def simulate_diffusion(
 
     path = np.empty(steps + 1)
     path[0] = x = float(x0)
-    block = 1 << 20
     pos = 0
     while pos < steps:
-        m = min(block, steps - pos)
-        incs = rng.normal(d.drift, sd, m).tolist()
-        base = pos + 1
-        for i, g in enumerate(incs):
+        m = min(_BLOCK_STEPS, steps - pos)
+        block = []
+        append = block.append
+        for g in rng.normal(d.drift, sd, m).tolist():
             x = (x if x >= 0.0 else keep * x) + g
-            path[base + i] = x
+            append(x)
+        path[pos + 1 : pos + 1 + m] = block
         pos += m
     return path
 

@@ -16,8 +16,15 @@ from midnightq import (
     simulate_path,
     simulate_replications,
     stationary_pmf,
+    transient_pmf,
 )
-from midnightq.chain import _departure_cuts, binomial_pmf, empirical_pmf, poisson_pmf
+from midnightq.chain import (
+    _departure_cuts,
+    _serial_steps,
+    binomial_pmf,
+    empirical_pmf,
+    poisson_pmf,
+)
 
 
 def tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,8 +37,8 @@ def tv(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dense_rows(kernel: ChainKernel) -> np.ndarray:
-    """The kernel's band spread into the full (K+1) x (K+1) matrix."""
-    size = kernel.truncation_level + 1
+    """The kernel's band spread into the full square matrix on its window."""
+    size = kernel.band.shape[0]
     width = kernel.band.shape[1]
     rows = np.zeros((size, size + width))
     for x in range(size):
@@ -106,6 +113,64 @@ class TestBuildKernel:
         pi = stationary_pmf(build_kernel(params_large))
         assert pi.mass[-1] <= 1e-18
 
+    @pytest.mark.parametrize(
+        "n, lam, lower",
+        [(18, 3.03, 5), (18, 3.03, 18), (18, 3.03, 30), (66, 11.37, 40), (500, 90.95, 303)],
+    )
+    def test_window_rows_match_scipy_convolution(self, n, lam, lower):
+        # As above, with mass below the window folded into its lowest state;
+        # lower = 30 > N = 18 leaves customers waiting in every row.
+        mu = 1 / 5.3
+        kernel = build_kernel(ModelParams(n, lam, mu), lower=lower)
+        k_max = kernel.truncation_level
+        assert kernel.states[0] == lower and kernel.states[-1] == k_max
+        rows = dense_rows(kernel)
+        arrivals = stats.poisson.pmf(np.arange(k_max + 300), lam)
+        checked = {lower, lower + 1, n, n + 1, (lower + k_max) // 2, k_max}
+        for x in sorted(x for x in checked if x >= lower):
+            busy = min(x, n)
+            full = np.convolve(stats.binom.pmf(np.arange(busy + 1), busy, 1.0 - mu), arrivals)
+            nxt = np.zeros(k_max + 1)
+            lo = x - busy  # full[j] is the next state lo + j
+            nxt[lo:] = full[: k_max + 1 - lo]
+            nxt[-1] += full[k_max + 1 - lo :].sum()
+            expected = nxt[lower:]
+            expected[0] += nxt[:lower].sum()
+            assert np.abs(rows[x - lower] - expected).sum() <= 1e-13, x
+
+    def test_window_up_reach_comes_from_its_lowest_row(self, params_large):
+        # Row 303 at N = 500 steps by A - D with D ~ Binomial(303, mu): ku is
+        # its last step whose upper tail still holds 2^-60 (the full band's
+        # row 0 reaches 186).
+        kernel = build_kernel(params_large, lower=303)
+        lam, mu = params_large.daily_arrival_rate, params_large.daily_service_prob
+        steps = np.convolve(
+            stats.binom.pmf(np.arange(304), 303, mu)[::-1], stats.poisson.pmf(np.arange(600), lam)
+        )  # index i is the step i - 303
+        at_least = np.cumsum(steps[::-1])[::-1]
+        assert at_least[303 + kernel.ku + 1] < 2.0**-60 <= at_least[303 + kernel.ku]
+        assert kernel.ku < build_kernel(params_large).ku
+
+    def test_window_outside_lattice_rejected(self, params_small):
+        with pytest.raises(ValueError, match="lower cut"):
+            build_kernel(params_small, truncation=100, lower=101)
+
+    @pytest.mark.parametrize("k_max", [18, 30, 40])
+    def test_lattice_narrower_than_band_steps_and_solves(self, params_small, k_max):
+        # At N = 18 a row keeps the steps -18..+28, so these lattices hold
+        # fewer states than the band is wide.
+        kernel = build_kernel(params_small, truncation=k_max)
+        assert kernel.band.shape[0] < kernel.band.shape[1]
+        rows = dense_rows(kernel)
+        pi = stationary_pmf(kernel)
+        assert pi.residual <= 1e-12
+        assert np.abs(kernel.step(pi.mass) - pi.mass @ rows).max() <= 1e-15
+        system = rows.T - np.eye(k_max + 1)
+        system[0] = 1.0
+        rhs = np.zeros(k_max + 1)
+        rhs[0] = 1.0
+        assert tv(pi.mass, np.linalg.solve(system, rhs)) <= 1e-13
+
 
 class TestStationaryPMF:
     def test_small_system_residual_and_flow_balance(self, params_small):
@@ -163,6 +228,19 @@ class TestStationaryPMF:
             x = mp.lu_solve(a, b)
             referee = np.array([float(x[i]) for i in range(k)])
         assert tv(stationary_pmf(kernel).mass, referee) <= 1e-14
+
+    def test_window_matches_full_lattice(self, params_medium):
+        # Below 7 the stationary law holds less than 2^-60 at N = 66.
+        full = stationary_pmf(build_kernel(params_medium))
+        window = stationary_pmf(build_kernel(params_medium, lower=7))
+        assert window.support[0] == 7 and window.residual <= 1e-12
+        assert tv(full.mass[7:], window.mass) <= 1e-12
+
+    def test_window_above_pinned_state_solves(self, params_medium):
+        # lam / mu = 60.3 lies below the window, so the pin moves to its end.
+        window = stationary_pmf(build_kernel(params_medium, lower=70))
+        assert window.support[0] == 70 and window.residual <= 1e-12
+        assert window.mass.min() >= 0.0
 
     def test_overloaded_chain_refused(self):
         kernel = build_kernel(ModelParams(5, 1.5, 0.25))
@@ -272,9 +350,117 @@ class TestSimulatePath:
         zero = simulate_replications(params_small, 0, 11, seed=1)
         assert np.all(zero == params_small.n_servers)
 
+    def test_replications_refuse_negative_start(self, params_small):
+        for horizon in (0, 3):
+            with pytest.raises(ValueError, match="x0"):
+                simulate_replications(params_small, horizon, 3, seed=1, x0=-5)
+
+    def test_replications_follow_transient_law(self):
+        # Each final count inverts the exact law's CDF at its own uniform, so
+        # the counts are multinomial on that law.
+        p = limit_params(100)
+        reps = 100_000
+        finals = simulate_replications(p, 10, reps, seed=5)
+        states, mass = transient_pmf(p, 10, 100)
+        freq = np.bincount(finals - states[0], minlength=mass.size) / reps
+        expected_tv = float(np.sqrt(mass * (1 - mass) / (2 * math.pi * reps)).sum())
+        assert tv(freq, mass) <= 4 * expected_tv
+
     def test_empirical_pmf_requires_samples(self):
         with pytest.raises(ValueError, match="burn_in"):
             empirical_pmf(np.arange(5), burn_in=5)
+
+
+def limit_params(n: int) -> ModelParams:
+    """The limit harness's system of size n: load 1 - 1/sqrt(n), mean stay 5.3."""
+    mu = 1 / 5.3
+    return ModelParams(n, n * mu * (1.0 - 1.0 / math.sqrt(n)), mu)
+
+
+def transient_oracle(p: ModelParams, horizon: int, x0: int) -> np.ndarray:
+    """Law of the count after ``horizon`` days from x0, on 0..top.
+
+    Survivors of min(x, N) busy servers are Binomial(min(x, N), 1 - mu), the
+    waiting x - N stay, and Poisson(lambda) arrive; top lies past every
+    count that a day's arrivals reach with mass above 1e-30.
+    """
+    n, lam, keep = p.n_servers, p.daily_arrival_rate, 1.0 - p.daily_service_prob
+    top = max(x0, n) + horizon * math.ceil(lam + 15 * math.sqrt(lam) + 40)
+    idle = stats.binom.pmf(np.arange(n)[None, :], np.arange(n)[:, None], keep)
+    saturated = stats.binom.pmf(np.arange(n + 1), n, keep)
+    arrivals = stats.poisson.pmf(np.arange(top + 1), lam)
+    pi = np.zeros(top + 1)
+    pi[x0] = 1.0
+    for _ in range(horizon):
+        survivors = np.zeros(top + 1)
+        survivors[:n] = pi[:n] @ idle
+        survivors += np.convolve(pi[n:], saturated)[: top + 1]
+        pi = np.convolve(survivors, arrivals)[: top + 1]
+    return pi
+
+
+class TestTransientPMF:
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    @pytest.mark.parametrize("horizon", [1, 10])
+    def test_matches_scipy_operator(self, n, start, horizon):
+        p = limit_params(n)
+        x0 = start * n
+        states, mass = transient_pmf(p, horizon, x0)
+        if (n, start, horizon) == (100, 2, 1):
+            assert states[0] > n  # the window starts above the server count
+        oracle = transient_oracle(p, horizon, x0)
+        assert states[-1] < oracle.size
+        ours = np.zeros(oracle.size)
+        ours[states] = mass
+        assert tv(ours, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("which", range(4))
+    def test_count_stays_in_window_every_day(self, n, which):
+        # The window must hold the count on each day up to the horizon, not
+        # only on the last: from 1 the count rises past N / 2 by day 10.
+        p = limit_params(n)
+        x0 = [0, 1, n, 2 * n][which]
+        states, _ = transient_pmf(p, 10, x0)
+        for horizon in range(11):
+            law = transient_oracle(p, horizon, x0)
+            assert law[: states[0]].sum() <= 2.0**-55, horizon
+            assert law[states[-1] + 1 :].sum() <= 2.0**-55, horizon
+
+    @pytest.mark.parametrize("n", [25, 100, 400, 1600])
+    def test_window_ends_hold_no_mass(self, n):
+        # From a full system, the window cut below (L > 0 from N = 100 on)
+        # and above holds at most 2^-50 at either end.
+        states, mass = transient_pmf(limit_params(n), 10, n)
+        if n >= 100:
+            assert states[0] > 0
+        if states[0] > 0:
+            assert mass[0] <= 2.0**-50
+        assert mass[-1] <= 2.0**-50
+        assert abs(mass.sum() - 1.0) <= 1e-12
+
+    def test_serial_steps_match_kernel_step(self):
+        # The N = 1,600 window (987 states, band 469 wide) is stepped in
+        # four row blocks.
+        p = limit_params(1600)
+        states, _ = transient_pmf(p, 10, 1600)
+        kernel = build_kernel(p, states[-1], states[0])
+        pi = np.random.default_rng(3).random(states.size)
+        expected = pi
+        for _ in range(3):
+            expected = kernel.step(expected)
+        assert np.abs(_serial_steps(kernel, pi, 3) - expected).max() <= 1e-13 * expected.max()
+
+    def test_zero_horizon_is_the_start(self, params_small):
+        states, mass = transient_pmf(params_small, 0, 7)
+        assert states.tolist() == [7] and mass.tolist() == [1.0]
+
+    def test_refuses_negative_start_and_horizon(self, params_small):
+        with pytest.raises(ValueError, match="x0"):
+            transient_pmf(params_small, 2, -1)
+        with pytest.raises(ValueError, match="horizon"):
+            transient_pmf(params_small, -1, 3)
 
 
 class TestSerialization:

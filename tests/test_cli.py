@@ -96,6 +96,14 @@ class TestCommands:
         assert time.perf_counter() - start < 1.0
         assert "--truncation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]
+    )
+    def test_lattice_narrower_than_band_exits_0(self, command, truncation, capsys):
+        # At N = 18 a kernel row spans 47 states, more than these lattices hold.
+        assert main([command, *SMALL_ARGS, "--truncation", truncation]) == 0
+        capsys.readouterr()
+
     def test_simulate_mean_se_matches_seed_spread(self, capsys):
         means, ses = [], []
         for seed in range(8):

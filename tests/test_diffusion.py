@@ -138,6 +138,23 @@ class TestDouStationaryDensity:
             assert abs(val - dou(x)) <= 1e-8
 
 
+def one_block_diffusion(d: DiffusionParams, mu: float, steps: int, seed) -> np.ndarray:
+    """Reference loop: blocks of 2^20 increments, each state stored on its own."""
+    rng = np.random.Generator(np.random.Philox(seed=seed))
+    sd = math.sqrt(d.variance)
+    keep = 1.0 - mu
+    path = np.empty(steps + 1)
+    path[0] = x = 0.0
+    pos = 0
+    while pos < steps:
+        m = min(1 << 20, steps - pos)
+        for i, g in enumerate(rng.normal(d.drift, sd, m).tolist()):
+            x = (x if x >= 0.0 else keep * x) + g
+            path[pos + 1 + i] = x
+        pos += m
+    return path
+
+
 class TestSimulateDiffusion:
     def test_fixed_seed_reproduces_path(self):
         a = simulate_diffusion(TOY, 0.5, 2000, seed=1)
@@ -169,6 +186,13 @@ class TestSimulateDiffusion:
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
             simulate_diffusion(TOY, 0.5, 0, seed=0)
+
+    def test_blocks_leave_the_path_bit_for_bit(self, params_small):
+        # 70,000 steps cross the first 65,536-step block.
+        d = derive_diffusion_params(params_small)
+        mu = params_small.daily_service_prob
+        path = simulate_diffusion(d, mu, 70_000, seed=3)
+        assert np.array_equal(path, one_block_diffusion(d, mu, 70_000, seed=3))
 
 
 class TestKSDistance:
