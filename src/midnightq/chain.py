@@ -298,19 +298,21 @@ def _lapack_check(routine: str, info: int) -> None:
 
 
 def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
-    """Solve pi = pi P on the kernel's window of states.
+    """Solve pi = pi P on the truncated lattice.
 
     One banded LU solve of P^T - I with the balance equation of the state
-    x = lam / mu (or the window end nearest it), which carries high mass,
-    replaced by pi_x = 1, then one step of iterative refinement with the
-    same factor, then normalization.
-    Raises UnstableRegimeError at load >= 1, where the untruncated chain
+    x = lam / mu, which carries high mass, replaced by pi_x = 1, then one
+    step of iterative refinement with the same factor, then normalization.
+    Raises ValueError for a kernel whose lattice does not start at 0,
+    UnstableRegimeError at load >= 1, where the untruncated chain
     has no stationary law, and ConvergenceError (carrying the residual) if
     the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if kernel.lower != 0:
+        raise ValueError(f"stationary solve needs a lattice from 0, got lower cut {kernel.lower}")
     p = kernel.params
     if p.load >= 1.0:
         raise UnstableRegimeError(
@@ -320,8 +322,8 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     band, kl, ku = kernel.band, kernel.kl, kernel.ku
     if not np.isfinite(band).all():
         raise ConvergenceError("kernel holds non-finite entries", residual=math.nan)
-    size = band.shape[0]
-    pin = min(max(int(p.daily_arrival_rate / p.daily_service_prob) - kernel.lower, 0), size - 1)
+    size = kernel.truncation_level + 1
+    pin = min(int(p.daily_arrival_rate / p.daily_service_prob), size - 1)
     # LAPACK band storage of P^T - I, column-major: column x holds row x of P
     # below ku rows of room for the pivoting fill-in.
     system = np.zeros((size, 2 * ku + kl + 1))
@@ -521,34 +523,6 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
     return lower, max(top, n) if lower == 0 else top
 
 
-# OpenBLAS runs dgbmv on one thread while rows * columns < 250,000 and
-# wakes a second thread above that.  On a 2-vCPU VM a threaded call took
-# 6-60 ms where one thread takes under 1 ms, so the transient law is
-# stepped in blocks of rows below that size.
-_SERIAL_GBMV = 250_000
-
-
-def _serial_steps(kernel: ChainKernel, pi: np.ndarray, days: int) -> np.ndarray:
-    """``days`` applications of ``kernel.step`` to ``pi``, one row block at a time.
-
-    A block of b rows sends its mass to b + kl + ku states; as a matrix
-    with kl + ku subdiagonals, its band storage is the block's rows of
-    ``kernel.band``, transposed.
-    """
-    size, width = kernel.band.shape
-    # the largest b with (b + width - 1) b < _SERIAL_GBMV, if any
-    rows = max(int((math.sqrt((width - 1) ** 2 + 4 * _SERIAL_GBMV - 4) - width + 1) / 2), 1)
-    blocks = [(i, kernel.band[i : i + rows].T) for i in range(0, size, rows)]
-    for _ in range(days):
-        out = np.zeros(size + width - 1)  # index i is the state lower - kl + i
-        for i, block in blocks:
-            b = block.shape[1]
-            reach = b + width - 1
-            out[i : i + reach] += dgbmv(reach, b, width - 1, 0, 1.0, block, pi[i : i + b])
-        pi = out[kernel.kl : kernel.kl + size]
-    return pi
-
-
 def transient_pmf(p: ModelParams, horizon: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the count ``horizon`` days after starting at ``x0``.
 
@@ -567,9 +541,11 @@ def transient_pmf(p: ModelParams, horizon: int, x0: int) -> tuple[np.ndarray, np
         return np.array([x0]), np.ones(1)
     lower, top = _transient_window(p, horizon, x0)
     kernel = build_kernel(p, top, lower)
-    start = np.zeros(top - lower + 1)
-    start[x0 - lower] = 1.0
-    return kernel.states, _serial_steps(kernel, start, horizon)
+    pi = np.zeros(top - lower + 1)
+    pi[x0 - lower] = 1.0
+    for _ in range(horizon):
+        pi = kernel.step(pi)
+    return kernel.states, pi
 
 
 def simulate_replications(

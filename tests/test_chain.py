@@ -20,7 +20,6 @@ from midnightq import (
 )
 from midnightq.chain import (
     _departure_cuts,
-    _serial_steps,
     binomial_pmf,
     empirical_pmf,
     poisson_pmf,
@@ -229,18 +228,9 @@ class TestStationaryPMF:
             referee = np.array([float(x[i]) for i in range(k)])
         assert tv(stationary_pmf(kernel).mass, referee) <= 1e-14
 
-    def test_window_matches_full_lattice(self, params_medium):
-        # Below 7 the stationary law holds less than 2^-60 at N = 66.
-        full = stationary_pmf(build_kernel(params_medium))
-        window = stationary_pmf(build_kernel(params_medium, lower=7))
-        assert window.support[0] == 7 and window.residual <= 1e-12
-        assert tv(full.mass[7:], window.mass) <= 1e-12
-
-    def test_window_above_pinned_state_solves(self, params_medium):
-        # lam / mu = 60.3 lies below the window, so the pin moves to its end.
-        window = stationary_pmf(build_kernel(params_medium, lower=70))
-        assert window.support[0] == 70 and window.residual <= 1e-12
-        assert window.mass.min() >= 0.0
+    def test_window_refused(self, params_medium):
+        with pytest.raises(ValueError, match="lower cut 7"):
+            stationary_pmf(build_kernel(params_medium, lower=7))
 
     def test_overloaded_chain_refused(self):
         kernel = build_kernel(ModelParams(5, 1.5, 0.25))
@@ -439,18 +429,6 @@ class TestTransientPMF:
             assert mass[0] <= 2.0**-50
         assert mass[-1] <= 2.0**-50
         assert abs(mass.sum() - 1.0) <= 1e-12
-
-    def test_serial_steps_match_kernel_step(self):
-        # The N = 1,600 window (987 states, band 469 wide) is stepped in
-        # four row blocks.
-        p = limit_params(1600)
-        states, _ = transient_pmf(p, 10, 1600)
-        kernel = build_kernel(p, states[-1], states[0])
-        pi = np.random.default_rng(3).random(states.size)
-        expected = pi
-        for _ in range(3):
-            expected = kernel.step(expected)
-        assert np.abs(_serial_steps(kernel, pi, 3) - expected).max() <= 1e-13 * expected.max()
 
     def test_zero_horizon_is_the_start(self, params_small):
         states, mass = transient_pmf(params_small, 0, 7)
