@@ -33,9 +33,9 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def poisson_pmf(rate: float, top: int) -> np.ndarray:
-    """Poisson pmf on {0, ..., top}, evaluated through log space."""
-    k = np.arange(top + 1, dtype=float)
+def poisson_pmf(rate: float, top: int, first: int = 0) -> np.ndarray:
+    """Poisson pmf on {first, ..., top}, evaluated through log space."""
+    k = np.arange(first, top + 1, dtype=float)
     return np.exp(-rate + k * math.log(rate) - gammaln(k + 1.0))
 
 
@@ -159,6 +159,11 @@ def default_truncation(p: ModelParams) -> int:
     return p.n_servers + math.ceil(spread)
 
 
+def _memory_budget() -> int:
+    """Bytes an array may take before it is refused: half of physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
 def _poisson_pmf_to_tail(rate: float) -> np.ndarray:
     """Poisson pmf out past where its upper tail falls far below ``_TAIL``."""
     return poisson_pmf(rate, math.ceil(rate + 12.0 * math.sqrt(rate) + 30.0))
@@ -198,12 +203,12 @@ def _down_reach(arrivals: np.ndarray, mu: float, n: int) -> int:
     down steps of every row.  Below the reach its tail holds less than
     ``_TAIL``.
     """
-    displacement = np.convolve(
-        binomial_pmf(n, mu)[::-1], arrivals[: _up_reach(arrivals, mu, 0) + 1]
-    )
-    # index i of `displacement` is the step i - N
+    offset, departures = _trim(binomial_pmf(n, mu))
+    most = offset + departures.size - 1
+    displacement = np.convolve(departures[::-1], arrivals[: _up_reach(arrivals, mu, 0) + 1])
+    # index i of `displacement` is the step i - most
     below = int(np.argmax(np.cumsum(displacement) >= _TAIL))
-    return max(n - below, 0)
+    return max(most - below, 0)
 
 
 def build_kernel(
@@ -243,7 +248,7 @@ def build_kernel(
     ku = _up_reach(arrivals, mu, busy)
     size = k_max - lower + 1
     needed = 8 * (2 * ku + kl + 1) * size
-    available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    available = _memory_budget()
     if needed > available:
         raise ValueError(
             f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs "
@@ -364,33 +369,82 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     return StationaryPMF(support=kernel.states, mass=pi, params=p, residual=residual)
 
 
-# Days are drawn in blocks of fixed size, each block's uniforms and then its
-# arrivals, so a path is a prefix of every longer path with the same seed.
+# Days are drawn in blocks of fixed size, one uniform each, so a path is a
+# prefix of every longer path with the same seed.
 _BLOCK_DAYS = 1 << 16
 # A 53-bit uniform takes 2^53 equally likely values, so it cannot resolve a
-# tail of mass below 2^-53; the departure tables drop such tails.
+# tail of mass below 2^-53; the step tables drop such tails.
 _RESOLUTION = 2.0**-53
+# The saturated step table splits [0, 1) into this many equal cells.
+_CELLS = 1 << 16
 
 
 def _path_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=seed))
 
 
-def _departure_cuts(busy: int, mu: float) -> tuple[int, list[float]]:
-    """Inverse-CDF table of the Binomial(busy, mu) departures.
+def _arrival_window(rate: float) -> tuple[int, np.ndarray]:
+    """``(first, pmf)``: Poisson(rate) on {first, ...}, trimmed by ``_trim``.
 
-    Returns ``(offset, cuts)``: ``offset + bisect_right(cuts, u)`` is the
-    departure count for a uniform ``u``.  The cuts are the first ``busy``
-    CDF values, so the count never exceeds ``busy`` even if the cumulative
-    sum ends a few ulps below one.  Cuts with less than ``_RESOLUTION`` of
-    mass below or above them are dropped; the offset keeps the count.
+    The pmf is evaluated only within 12 standard deviations (plus 30) of
+    the rate, outside of which each tail holds far less than ``_TRIM``, so
+    the window holds O(sqrt(rate)) states.
     """
-    pmf = binomial_pmf(busy, mu)
+    spread = 12.0 * math.sqrt(rate) + 30.0
+    first = max(math.floor(rate - spread), 0)
+    lo, pmf = _trim(poisson_pmf(rate, math.ceil(rate + spread), first))
+    return first + lo, pmf
+
+
+def _step_cuts(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """Inverse-CDF table of one day's step A - D from ``busy`` busy servers.
+
+    A has the law ``arrivals`` = ``(first, pmf)`` from ``_arrival_window``
+    and D ~ Binomial(busy, mu).  Returns ``(offset, cuts)``: ``offset +
+    bisect_right(cuts, u)`` is the step for a uniform ``u``.  The cuts are
+    CDF values of the convolution of the trimmed laws, normalized; those
+    with less than ``_RESOLUTION`` of mass below or above them are dropped,
+    and the offset keeps the count.  So the step never falls below -busy.
+    """
+    first, arrival_pmf = arrivals
+    offset, departures = _trim(binomial_pmf(busy, mu))
+    most = offset + departures.size - 1
+    pmf = np.convolve(departures[::-1], arrival_pmf)  # index i is the step first - most + i
+    pmf /= pmf.sum()
     cdf = np.cumsum(pmf[:-1])
-    above = np.cumsum(pmf[:0:-1])  # above[j] = P(D >= busy - j)
-    hi = busy - int(np.searchsorted(above, _RESOLUTION))
+    above = np.cumsum(pmf[:0:-1])  # above[j] = P(step index >= size - 1 - j)
+    hi = cdf.size - int(np.searchsorted(above, _RESOLUTION))
     lo = min(int(np.searchsorted(cdf, _RESOLUTION)), hi)
-    return lo, cdf[lo:hi].tolist()
+    return first - most + lo, cdf[lo:hi]
+
+
+def _cell_table(offset: int, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table of ``_CELLS`` cells over [0, 1) for a step table.
+
+    Cell k holds the step at u = k / ``_CELLS`` and a flag that is set when
+    a cut falls inside the cell, (k, k + 1) / ``_CELLS``.  A uniform in an
+    unflagged cell has its cell's step.
+    """
+    edges = np.arange(_CELLS + 1) / _CELLS
+    at_edge = np.searchsorted(cuts, edges, side="right")
+    below_next = np.searchsorted(cuts, edges[1:], side="left")
+    return offset + at_edge[:-1], below_next != at_edge[:-1]
+
+
+def _saturated_steps(
+    uniforms: np.ndarray, offset: int, cuts: np.ndarray, cells: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``offset + searchsorted(cuts, uniforms, side="right")`` through the cells.
+
+    A 53-bit uniform times ``_CELLS`` is exact, so its cell is exact too;
+    only the uniforms in flagged cells are searched.
+    """
+    steps, flags = cells
+    cell = (uniforms * _CELLS).astype(np.intp)
+    out = steps[cell]
+    flagged = np.flatnonzero(flags[cell])
+    out[flagged] = offset + np.searchsorted(cuts, uniforms[flagged], side="right")
+    return out
 
 
 def simulate_path(
@@ -401,14 +455,15 @@ def simulate_path(
 ) -> SimulatedPath:
     """Simulate ``horizon`` days of the midnight count, reproducibly.
 
-    Each day draws one uniform and one Poisson arrival count; the departures
-    invert the Binomial(min(x, N), mu) CDF at the uniform.  The CDF table of
-    a busy count is built when the path first visits it.
+    Each day draws one uniform and inverts at it the CDF of that day's step
+    A - D, A ~ Poisson(lam) and D ~ Binomial(min(x, N), mu).  From x >= N
+    the step does not depend on x, so a block's saturated steps are all
+    looked up at once in a cell table; below N the step table of a busy
+    count is built when the path first visits it.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     n = p.n_servers
-    lam = p.daily_arrival_rate
     mu = p.daily_service_prob
     rng = _path_rng(seed)
 
@@ -418,27 +473,29 @@ def simulate_path(
     counts = np.empty(horizon + 1, dtype=np.int64)
     counts[0] = x
 
-    tables: list = [None] * n  # busy count below N -> (offset, cuts)
-    full_offset, full_cuts = _departure_cuts(n, mu)
-    full_cuts = np.array(full_cuts)
+    arrivals = _arrival_window(p.daily_arrival_rate)
+    # Below N, state x's next state is bases[x] + bisect_right(cuts[x], u).
+    bases: list = [None] * n
+    cuts: list = [None] * n
+    full_offset, full_cuts = _step_cuts(n, mu, arrivals)
+    cells = _cell_table(full_offset, full_cuts)
     pos = 0
     while pos < horizon:
         days = min(_BLOCK_DAYS, horizon - pos)
         uniforms = rng.random(_BLOCK_DAYS)[:days]
-        arrivals = rng.poisson(lam, _BLOCK_DAYS)[:days]
-        # From x >= N a day's step depends on its draws alone, so the block's
-        # saturated steps are inverted at once.
-        saturated = arrivals - full_offset - np.searchsorted(full_cuts, uniforms, side="right")
+        saturated = _saturated_steps(uniforms, full_offset, full_cuts, cells)
         block = []
         append = block.append
-        for u, a, step in zip(uniforms.tolist(), arrivals.tolist(), saturated.tolist()):
+        for u, step in zip(uniforms.tolist(), saturated.tolist()):
             if x >= n:
                 x += step
             else:
-                table = tables[x]
+                table = cuts[x]
                 if table is None:
-                    table = tables[x] = _departure_cuts(x, mu)
-                x += a - table[0] - bisect_right(table[1], u)
+                    offset, table = _step_cuts(x, mu, arrivals)
+                    table = cuts[x] = table.tolist()
+                    bases[x] = x + offset
+                x = bases[x] + bisect_right(table, u)
             append(x)
         counts[pos + 1 : pos + 1 + days] = block
         pos += days
@@ -587,10 +644,28 @@ def batch_means_se(samples: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(batches))
 
 
+# Memory one state of an occupation table takes: 16 bytes in its two arrays,
+# and up to 280 more while `simulate` writes its row as JSON (138 as CSV),
+# measured for 10^6 states.
+_STATE_BYTES = 512
+
+
 def empirical_pmf(counts: np.ndarray, burn_in: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation frequencies of a path after discarding ``burn_in`` days."""
+    """Occupation frequencies of a path after discarding ``burn_in`` days.
+
+    Refuses with ValueError, before allocating, a path whose states 0..max
+    would take over ``_memory_budget`` at ``_STATE_BYTES`` each.
+    """
     tail = counts[burn_in:]
     if tail.size == 0:
         raise ValueError("burn_in leaves no samples")
+    top = int(tail.max())
+    needed, available = _STATE_BYTES * (top + 1), _memory_budget()
+    if needed > available:
+        raise ValueError(
+            f"occupation frequencies of states 0..{top} need {needed / 2**30:.1f} GiB, "
+            f"over half of physical memory ({available / 2**30:.1f} GiB); "
+            "lower --steps or the load"
+        )
     freq = np.bincount(tail)
     return np.arange(freq.size), freq / tail.size

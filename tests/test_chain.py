@@ -19,7 +19,11 @@ from midnightq import (
     transient_pmf,
 )
 from midnightq.chain import (
-    _departure_cuts,
+    _CELLS,
+    _arrival_window,
+    _cell_table,
+    _saturated_steps,
+    _step_cuts,
     binomial_pmf,
     empirical_pmf,
     poisson_pmf,
@@ -314,23 +318,59 @@ class TestSimulatePath:
         assert path.min() >= 0
         assert np.all(path[1:] >= path[:-1] - n)
 
-    @pytest.mark.parametrize("busy", [1, 18, 66, 500])
+    @pytest.mark.parametrize("busy", [0, 1, 18, 66, 500])
     @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
-    def test_departure_table_inverts_binomial(self, busy, mu):
-        # The law the table gives a uniform equals binomial_pmf up to that
-        # pmf's own normalization error, which lands on the top kept count.
-        offset, cuts = _departure_cuts(busy, mu)
-        implied = np.zeros(busy + 1)
-        implied[offset : offset + len(cuts) + 1] = np.diff([0.0, *cuts, 1.0])
-        pmf = binomial_pmf(busy, mu)
-        assert np.abs(implied - pmf).sum() <= abs(1.0 - pmf.sum()) + 1e-14
+    @pytest.mark.parametrize("load", [0.5, 2.0])
+    def test_step_table_matches_scipy_convolution(self, busy, mu, load):
+        # The law a table gives a uniform against an independent Poisson
+        # (lam) minus Binomial(busy, mu) convolution, on steps -busy..top.
+        # scipy evaluates the Poisson pmf in log space too: at lam = 238 its
+        # sum is 1 - 1.3e-13 (mpmath: 1 - 1e-16), so the reference is
+        # normalized.
+        lam = load * busy * mu + 0.3
+        offset, cuts = _step_cuts(busy, mu, _arrival_window(lam))
+        top = math.ceil(lam + 20 * math.sqrt(lam) + 50)
+        expected = np.convolve(
+            stats.binom.pmf(np.arange(busy + 1), busy, mu)[::-1],
+            stats.poisson.pmf(np.arange(top + 1), lam),
+        )  # index i is the step i - busy
+        expected /= expected.sum()
+        implied = np.zeros(expected.size)
+        implied[offset + busy : offset + busy + cuts.size + 1] = np.diff([0.0, *cuts, 1.0])
+        assert offset >= -busy
+        assert np.abs(implied - expected).sum() <= 1e-13
 
-    def test_departure_table_is_trimmed(self):
-        # Binomial(19000, 0.2) has sd 55: the table keeps only the cuts a
-        # 53-bit uniform can tell apart, not all 19,000.
-        offset, cuts = _departure_cuts(19_000, 0.2)
-        assert len(cuts) < 1000
-        assert 3000 < offset < 3800
+    def test_step_table_is_trimmed(self):
+        # At busy = 19,000 the step has mean -190 and sd 82: the table keeps
+        # only the cuts a 53-bit uniform can tell apart, not one per
+        # departure count.
+        busy, mu = 19_000, 0.2
+        offset, cuts = _step_cuts(busy, mu, _arrival_window(0.95 * busy * mu))
+        assert cuts.size < 2500
+        assert -190 - 10 * 82 < offset < -190 - 5 * 82
+
+    @pytest.mark.parametrize("lam", [0.3, 11.37, 1e3, 1e9])
+    def test_arrival_window_is_narrow(self, lam):
+        # The window grows like sqrt(lam), and leaves out only the tails
+        # that _trim would cut.
+        first, pmf = _arrival_window(lam)
+        assert pmf.size < 20 * math.sqrt(lam) + 60
+        last = first + pmf.size - 1
+        assert stats.poisson.cdf(first - 1, lam) < 2.0**-70
+        assert stats.poisson.sf(last, lam) < 2.0**-70
+
+    @pytest.mark.parametrize("busy, lam, mu", [(66, 11.37, 1 / 5.3), (19_000, 3610.0, 0.2)])
+    def test_cell_lookup_equals_searchsorted(self, busy, lam, mu):
+        offset, cuts = _step_cuts(busy, mu, _arrival_window(lam))
+        edges = np.arange(_CELLS) / _CELLS
+        special = np.concatenate([edges, cuts])
+        special = np.concatenate([special, np.nextafter(special, 0.0), np.nextafter(special, 1.0)])
+        special = special[(special >= 0.0) & (special < 1.0)]
+        uniforms = np.concatenate(
+            [special, np.random.default_rng(0).random(1_000_000 - special.size)]
+        )
+        got = _saturated_steps(uniforms, offset, cuts, _cell_table(offset, cuts))
+        assert np.array_equal(got, offset + np.searchsorted(cuts, uniforms, side="right"))
 
     def test_replications_deterministic_and_shaped(self, params_small):
         a = simulate_replications(params_small, 10, 500, seed=9)
@@ -359,6 +399,10 @@ class TestSimulatePath:
     def test_empirical_pmf_requires_samples(self):
         with pytest.raises(ValueError, match="burn_in"):
             empirical_pmf(np.arange(5), burn_in=5)
+
+    def test_empirical_pmf_refuses_states_beyond_memory(self):
+        with pytest.raises(ValueError, match="--steps"):
+            empirical_pmf(np.array([0, 10**15]))
 
 
 def limit_params(n: int) -> ModelParams:

@@ -87,6 +87,17 @@ class TestCommands:
         assert main(args) == 0
         assert "warning: load 1.2 >= 1" in capsys.readouterr().err
 
+    def test_simulate_occupation_too_large_exit_2(self, capsys):
+        # At load 10^7 the count passes 10^10 in 1,000 days: its occupation
+        # frequencies would take 149 GiB.
+        args = ["simulate", "--n", "5", "--lambda", "1e7", "--mean-los", "5.3", "--steps", "1000"]
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "--steps" in err and "load" in err
+        assert "Traceback" not in err
+
     def test_exact_kernel_too_large_exit_2(self, capsys):
         # A truncation of 10^9 states: the banded LU would take terabytes.
         lam = repr(0.999 * 500 / 5.3)
