@@ -29,6 +29,9 @@ from midnightq.chain import (
     poisson_pmf,
 )
 
+# The point mass at zero arrivals: a step table over it is a departure table.
+_NO_ARRIVALS = (0, np.array([1.0]))
+
 
 def tv(a: np.ndarray, b: np.ndarray) -> float:
     width = max(a.size, b.size)
@@ -317,6 +320,27 @@ class TestSimulatePath:
         path = simulate_path(p, 20_000, seed=0).counts
         assert path.min() >= 0
         assert np.all(path[1:] >= path[:-1] - n)
+
+    @pytest.mark.parametrize("busy", [1, 18, 66, 500])
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+    def test_departure_table_inverts_binomial(self, busy, mu):
+        # With no arrivals the step table is the departure table: the law it
+        # gives a uniform is binomial_pmf, reversed, up to that pmf's own
+        # normalization error.
+        offset, cuts = _step_cuts(busy, mu, _NO_ARRIVALS)
+        implied = np.zeros(busy + 1)  # index i is the step i - busy
+        implied[offset + busy : offset + busy + len(cuts) + 1] = np.diff([0.0, *cuts, 1.0])
+        pmf = binomial_pmf(busy, mu)
+        assert offset >= -busy
+        assert np.abs(implied[::-1] - pmf).sum() <= abs(1.0 - pmf.sum()) + 1e-14
+
+    def test_departure_table_is_trimmed(self):
+        # Binomial(19000, 0.2) has sd 55: the table keeps only the cuts a
+        # 53-bit uniform can tell apart, not all 19,000.
+        offset, cuts = _step_cuts(19_000, 0.2, _NO_ARRIVALS)
+        assert len(cuts) < 1000
+        fewest_departures = -(offset + len(cuts))
+        assert 3000 < fewest_departures < 3800
 
     @pytest.mark.parametrize("busy", [0, 1, 18, 66, 500])
     @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
