@@ -27,7 +27,6 @@ from .chain import (
     transient_pmf,
 )
 from .diffusion import (
-    DensityTable,
     LimitHarnessConfig,
     LimitReport,
     NormalDensity,
@@ -43,9 +42,7 @@ from .projection import (
     FemBasis,
     GramError,
     GramSystem,
-    PiecewiseLinear,
     RatioReconstruction,
-    apply_kernel_operator,
     assemble_gram,
     build_basis,
     default_basis,
@@ -55,46 +52,3 @@ from .projection import (
 from .compare import ComparisonReport, compare_methods, lattice_edges
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ModelParams",
-    "DiffusionParams",
-    "derive_diffusion_params",
-    "ChainKernel",
-    "StationaryPMF",
-    "SimulatedPath",
-    "ConvergenceError",
-    "build_kernel",
-    "default_truncation",
-    "stationary_pmf",
-    "simulate_path",
-    "simulate_replications",
-    "transient_pmf",
-    "TransitionKernel",
-    "PiecewiseDensity",
-    "NormalDensity",
-    "DensityTable",
-    "LimitHarnessConfig",
-    "LimitReport",
-    "UnstableRegimeError",
-    "transition_density",
-    "proxy_density",
-    "dou_stationary_density",
-    "simulate_diffusion",
-    "run_limit_harness",
-    "FemBasis",
-    "GramSystem",
-    "GramError",
-    "PiecewiseLinear",
-    "RatioReconstruction",
-    "build_basis",
-    "default_basis",
-    "apply_kernel_operator",
-    "assemble_gram",
-    "solve_gram",
-    "project_stationary_density",
-    "ComparisonReport",
-    "compare_methods",
-    "lattice_edges",
-    "__version__",
-]

@@ -39,16 +39,18 @@ def poisson_pmf(rate: float, top: int, first: int = 0) -> np.ndarray:
     return np.exp(-rate + k * math.log(rate) - gammaln(k + 1.0))
 
 
-def binomial_pmf(trials: int, prob: float) -> np.ndarray:
-    """Binomial pmf on {0, ..., trials}, evaluated through log space."""
+def binomial_pmf(trials: int, prob: float, first: int = 0, last: int | None = None) -> np.ndarray:
+    """Binomial pmf on {first, ..., last}, evaluated through log space.
+
+    ``last`` defaults to ``trials``.
+    """
     if trials == 0:
         return np.ones(1)
-    d = np.arange(trials + 1, dtype=float)
-    log_factorial = gammaln(d + 1.0)  # reversed, it is lnGamma(trials - d + 1)
+    d = np.arange(first, (trials if last is None else last) + 1, dtype=float)
     logpmf = (
         gammaln(trials + 1.0)
-        - log_factorial
-        - log_factorial[::-1]
+        - gammaln(d + 1.0)
+        - gammaln(trials - d + 1.0)
         + d * math.log(prob)
         + (trials - d) * math.log1p(-prob)
     )
@@ -114,18 +116,10 @@ class StationaryPMF:
         m = self.mean()
         return float(math.sqrt(max(0.0, (self.support - m) ** 2 @ self.mass)))
 
-    def prob_above(self, level: int) -> float:
-        """Total mass on states strictly above ``level``."""
-        return float(self.mass[self.support > level].sum())
-
     def busy_server_mean(self) -> float:
         """Expected number of busy servers under the stationary law."""
         z = np.minimum(self.support, self.params.n_servers)
         return float(z @ self.mass)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(pmf_csv(self.support, self.mass))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +174,20 @@ def _trim(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, pmf[lo:hi]
 
 
+def _binomial_window(trials: int, prob: float) -> tuple[int, np.ndarray]:
+    """``(first, pmf)``: Binomial(trials, prob) on {first, ...}, trimmed by ``_trim``.
+
+    The pmf is evaluated only within 12 standard deviations (plus 30) of
+    the mean, outside of which each tail holds far less than ``_TRIM``, so
+    the window holds O(sqrt(trials)) counts.
+    """
+    mean = trials * prob
+    spread = 12.0 * math.sqrt(mean * (1.0 - prob)) + 30.0
+    first = max(math.floor(mean - spread), 0)
+    lo, pmf = _trim(binomial_pmf(trials, prob, first, min(math.ceil(mean + spread), trials)))
+    return first + lo, pmf
+
+
 def _up_reach(arrivals: np.ndarray, mu: float, busy: int) -> int:
     """Largest one-day step up from a state with ``busy`` busy servers.
 
@@ -187,7 +195,7 @@ def _up_reach(arrivals: np.ndarray, mu: float, busy: int) -> int:
     tail holds less than ``_TAIL``.  More busy servers only lower the step,
     so the reach also bounds every state above.
     """
-    offset, departures = _trim(binomial_pmf(busy, mu))
+    offset, departures = _binomial_window(busy, mu)
     # index i of `steps` is the step i - most, where A - D >= -most
     most = offset + departures.size - 1
     steps = np.convolve(departures[::-1], arrivals)
@@ -203,7 +211,7 @@ def _down_reach(arrivals: np.ndarray, mu: float, n: int) -> int:
     down steps of every row.  Below the reach its tail holds less than
     ``_TAIL``.
     """
-    offset, departures = _trim(binomial_pmf(n, mu))
+    offset, departures = _binomial_window(n, mu)
     most = offset + departures.size - 1
     displacement = np.convolve(departures[::-1], arrivals[: _up_reach(arrivals, mu, 0) + 1])
     # index i of `displacement` is the step i - most
@@ -257,7 +265,7 @@ def build_kernel(
         )
 
     band = np.zeros((size, kl + ku + 1))
-    offset, departures = _trim(binomial_pmf(busy, mu))
+    offset, departures = _binomial_window(busy, mu)
     most = offset + departures.size - 1  # largest departure count kept
     # Steps -kl..ku need the arrivals first..most + ku; with busy = 0 the
     # row is the arrival pmf itself.
@@ -407,7 +415,7 @@ def _step_cuts(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[
     and the offset keeps the count.  So the step never falls below -busy.
     """
     first, arrival_pmf = arrivals
-    offset, departures = _trim(binomial_pmf(busy, mu))
+    offset, departures = _binomial_window(busy, mu)
     most = offset + departures.size - 1
     pmf = np.convolve(departures[::-1], arrival_pmf)  # index i is the step first - most + i
     pmf /= pmf.sum()
@@ -447,13 +455,8 @@ def _saturated_steps(
     return out
 
 
-def simulate_path(
-    p: ModelParams,
-    horizon: int,
-    seed,
-    x0: int | None = None,
-) -> SimulatedPath:
-    """Simulate ``horizon`` days of the midnight count, reproducibly.
+def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
+    """Simulate ``horizon`` days of the midnight count from x = N, reproducibly.
 
     Each day draws one uniform and inverts at it the CDF of that day's step
     A - D, A ~ Poisson(lam) and D ~ Binomial(min(x, N), mu).  From x >= N
@@ -467,9 +470,7 @@ def simulate_path(
     mu = p.daily_service_prob
     rng = _path_rng(seed)
 
-    x = n if x0 is None else int(x0)
-    if x < 0:
-        raise ValueError(f"x0 must be nonnegative, got {x0!r}")
+    x = n
     counts = np.empty(horizon + 1, dtype=np.int64)
     counts[0] = x
 

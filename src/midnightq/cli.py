@@ -35,7 +35,6 @@ class RunConfig:
     """Validated settings for one CLI invocation."""
 
     command: str
-    n: int | None = None
     sizes: tuple[int, ...] | None = None
     lam: float | None = None
     mu: float | None = None
@@ -52,14 +51,19 @@ class RunConfig:
     out: str | None = None
     fmt: str = "csv"
 
+    @property
+    def n(self) -> int | None:
+        """The server count of a command that takes one."""
+        if self.sizes is not None and len(self.sizes) != 1:
+            raise ValueError(f"--n takes one server count for {self.command}")
+        return None if self.sizes is None else self.sizes[0]
+
     def model_params(self) -> ModelParams:
-        if self.n is None or self.lam is None:
+        if self.sizes is None or self.lam is None:
             raise ValueError("--n and --lambda are required for this command")
-        if self.mu is not None:
-            return ModelParams(self.n, self.lam, self.mu)
         if self.mean_los is not None:
             return ModelParams.from_mean_los(self.n, self.lam, self.mean_los)
-        raise ValueError("one of --mu or --mean-los is required")
+        return ModelParams(self.n, self.lam, self.service_prob())
 
     def service_prob(self) -> float:
         if self.mu is not None:
@@ -110,13 +114,13 @@ def _cmd_formula(cfg: RunConfig) -> int:
     d = derive_diffusion_params(p)
     proxy = diff_mod.proxy_density(d, p.daily_service_prob)
     grid = _formula_grid(cfg, d)
-    table = diff_mod.density_table(proxy, grid)
+    density = proxy(grid)
     if cfg.fmt == "csv":
-        _emit(diff_mod.density_csv(table.x, table.density), cfg.out)
+        _emit(diff_mod.density_csv(grid, density), cfg.out)
     else:
         payload = {
-            "x": table.x.tolist(),
-            "density": table.density.tolist(),
+            "x": grid.tolist(),
+            "density": density.tolist(),
             "tail_rate": proxy.tail_rate,
             "gaussian_center": proxy.gaussian_center,
             "ou_variance": proxy.ou_variance,
@@ -136,7 +140,7 @@ def _cmd_projection(cfg: RunConfig) -> int:
         grid_hi=cfg.grid_hi,
     )
     grid = _formula_grid(cfg, d)
-    table, diag = recon.table(grid)
+    density, diag = recon.table(grid)
     diagnostics = {
         "norm_sq": diag["norm_sq"],
         "residual": diag["residual"],
@@ -144,12 +148,12 @@ def _cmd_projection(cfg: RunConfig) -> int:
         "clipped_mass": diag["clipped_mass"],
     }
     if cfg.fmt == "csv":
-        _emit(diff_mod.density_csv(table.x, table.density), cfg.out)
+        _emit(diff_mod.density_csv(grid, density), cfg.out)
         sys.stderr.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     else:
         payload = {
-            "x": table.x.tolist(),
-            "density": table.density.tolist(),
+            "x": grid.tolist(),
+            "density": density.tolist(),
             "diagnostics": diagnostics,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
@@ -228,6 +232,31 @@ _COMMANDS = {
 _JSON_ONLY = {"limit-check", "compare"}
 
 
+def counts(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+# Config-file key -> (RunConfig field, type, help).  Each key is also the
+# flag "--" + key, with "-" for "_".
+_OPTIONS = {
+    "n": ("sizes", counts, "server count (limit-check: comma-separated sizes)"),
+    "lambda": ("lam", float, "daily arrival rate"),
+    "mu": ("mu", float, "daily service probability in (0,1)"),
+    "mean_los": ("mean_los", float, "mean length of stay in days"),
+    "truncation": ("truncation", int, "largest retained chain state"),
+    "grid_lo": ("grid_lo", float, "left end of the working domain"),
+    "grid_hi": ("grid_hi", float, "right end of the working domain"),
+    "elements": ("elements", int, "finite elements (default 160)"),
+    "tol": ("tol", float, "stationary-solve residual (default 1e-12)"),
+    "steps": ("steps", int, "simulation days / harness horizon"),
+    "replications": ("replications", int, "harness replications"),
+    "seed": ("seed", int, "PRNG seed (default 0)"),
+    "beta_star": ("beta_star", float, "limit-check: sqrt(N)(1 - load) of every size (default 1)"),
+    "out": ("out", str, "output path (default: stdout)"),
+    "format": ("fmt", str, "output format"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="midnightq",
@@ -236,78 +265,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON file with defaults; flags win on conflict")
-    parser.add_argument("--n", help="server count (limit-check: comma-separated sizes)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="daily arrival rate")
-    parser.add_argument("--mu", type=float, help="daily service probability in (0,1)")
-    parser.add_argument("--mean-los", type=float, help="mean length of stay in days")
-    parser.add_argument("--truncation", type=int, help="largest retained chain state")
-    parser.add_argument("--grid-lo", type=float, help="left end of the working domain")
-    parser.add_argument("--grid-hi", type=float, help="right end of the working domain")
-    parser.add_argument("--elements", type=int, help="finite elements (default 160)")
-    parser.add_argument("--tol", type=float, help="stationary-solve residual (default 1e-12)")
-    parser.add_argument("--steps", type=int, help="simulation days / harness horizon")
-    parser.add_argument("--replications", type=int, help="harness replications")
-    parser.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    parser.add_argument(
-        "--beta-star", type=float, help="limit-check: sqrt(N)(1 - load) of every size (default 1)"
-    )
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
+    for key, (field, kind, text) in _OPTIONS.items():
+        choices = ["csv", "json"] if key == "format" else None
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=field, type=kind, choices=choices, help=text)
     return parser
 
 
-_CONFIG_KEYS = {
-    "n": "n",
-    "lambda": "lam",
-    "mu": "mu",
-    "mean_los": "mean_los",
-    "truncation": "truncation",
-    "grid_lo": "grid_lo",
-    "grid_hi": "grid_hi",
-    "elements": "elements",
-    "tol": "tol",
-    "steps": "steps",
-    "replications": "replications",
-    "seed": "seed",
-    "beta_star": "beta_star",
-    "out": "out",
-    "format": "fmt",
-}
-
-
-def _parse_sizes(raw, command: str) -> tuple[int | None, tuple[int, ...] | None]:
-    if raw is None:
-        return None, None
-    text = str(raw)
-    if command == "limit-check":
-        return None, tuple(int(part) for part in text.split(","))
-    return int(text), None
-
-
 def build_config(argv: list[str]) -> RunConfig:
-    """Merge defaults, the optional JSON config file, and explicit flags."""
-    args = _build_parser().parse_args(argv)
-    merged: dict = {}
+    """Merge defaults, the optional JSON config file, and explicit flags.
+
+    Each config-file entry is read as its flag, placed before the command
+    line's flags, so that those win.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_CONFIG_KEYS)
+        unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            merged[_CONFIG_KEYS[key]] = value
-    for key in _CONFIG_KEYS.values():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+        entries = [f"--{key.replace('_', '-')}={value}" for key, value in file_cfg.items()]
+        args = parser.parse_args(entries + argv)
 
-    cfg = RunConfig(command=args.command)
-    n_value = merged.pop("n", None)
-    cfg.n, cfg.sizes = _parse_sizes(n_value, args.command)
-    for key, value in merged.items():
-        setattr(cfg, key, value)
+    given = {field: getattr(args, field) for field, _, _ in _OPTIONS.values()}
+    cfg = RunConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     if args.command in _JSON_ONLY:
-        if merged.get("fmt", "json") != "json":
+        if args.fmt not in (None, "json"):
             raise ValueError(f"{args.command} only emits JSON")
         cfg.fmt = "json"
     if cfg.mu is not None and cfg.mean_los is not None:
@@ -340,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = build_config(argv)
-    except ValueError as err:
-        sys.stderr.write(f"invalid configuration: {err}\n")
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"invalid configuration: {err}\n")
         return 2
     return run(cfg)

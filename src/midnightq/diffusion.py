@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .model import DiffusionParams, ModelParams, UnstableRegimeError
 from . import chain as chain_mod
@@ -67,7 +67,7 @@ def transition_density(kernel: TransitionKernel, x, y):
 
 @dataclass(frozen=True, eq=False)
 class NormalDensity:
-    """Gaussian density with closed-form cdf/ppf (idle-side building block)."""
+    """Gaussian density with closed-form cdf (idle-side building block)."""
 
     mean: float
     variance: float
@@ -87,9 +87,6 @@ class NormalDensity:
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
-
-    def ppf(self, u):
-        return self.mean + self.sd * ndtri(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +109,6 @@ class PiecewiseDensity:
         # alpha_neg times the full-line Gaussian mass
         return self.alpha_neg * _SQRT2PI * math.sqrt(self.ou_variance)
 
-    @property
-    def _neg_mass(self) -> float:
-        sd = math.sqrt(self.ou_variance)
-        return self._gauss_total * float(ndtr(-self.gaussian_center / sd))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self.ou_variance)
@@ -134,17 +126,6 @@ class PiecewiseDensity:
             1.0 - np.exp(-self.tail_rate * np.clip(x, 0.0, None))
         )
         out = below + above
-        return out if out.ndim else float(out)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        split = self._neg_mass
-        sd = math.sqrt(self.ou_variance)
-        ratio = np.clip(u / self._gauss_total, 1e-300, 1.0 - 1e-16)
-        gauss = self.gaussian_center + sd * ndtri(ratio)
-        arg = 1.0 - np.clip(u - split, 0.0, None) * self.tail_rate / self.alpha_pos
-        expo = -np.log(np.clip(arg, 1e-300, None)) / self.tail_rate
-        out = np.where(u < split, gauss, expo)
         return out if out.ndim else float(out)
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
@@ -381,35 +362,8 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     return LimitReport(entries=tuple(entries), warnings=tuple(warnings))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityTable:
-    """A continuous density sampled on a grid, with tail descriptors."""
-
-    x: np.ndarray
-    density: np.ndarray
-    tail_rate: float | None = None
-    gaussian_center: float | None = None
-    ou_variance: float | None = None
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(density_csv(self.x, self.density))
-
-
 def density_csv(x: np.ndarray, density: np.ndarray) -> str:
     """``x,density`` rows with 12 significant digits."""
     lines = ["x,density"]
     lines += [f"{xi:.12g},{di:.12g}" for xi, di in zip(x, density)]
     return "\n".join(lines) + "\n"
-
-
-def density_table(density, grid: np.ndarray) -> DensityTable:
-    """Sample any callable density on ``grid``, keeping its tail descriptors."""
-    values = np.asarray(density(np.asarray(grid, dtype=float)), dtype=float)
-    return DensityTable(
-        x=np.asarray(grid, dtype=float),
-        density=values,
-        tail_rate=getattr(density, "tail_rate", None),
-        gaussian_center=getattr(density, "gaussian_center", None),
-        ou_variance=getattr(density, "ou_variance", None),
-    )

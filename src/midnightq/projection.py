@@ -27,7 +27,7 @@ from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import ndtr
 
 from .model import DiffusionParams
-from .diffusion import DensityTable, TransitionKernel, proxy_density
+from .diffusion import TransitionKernel, proxy_density
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # Bound on |projected| below which it is taken as 0: far under the 2^-54 that
@@ -36,6 +36,8 @@ _FAR_FIELD = 2.0**-60
 # Points per batch of hat evaluations: the (basis size x points) temporaries
 # of one batch stay small enough to be reused from cache.
 _CHUNK = 512
+# Residual a Gram solve may leave, relative to the norm of its right-hand side.
+_REL_TOL = 1e-8
 
 
 class GramError(RuntimeError):
@@ -44,31 +46,6 @@ class GramError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function, zero outside its breakpoints."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2 or nodes.size != values.size:
-            raise ValueError("nodes and values must be matching 1-d arrays, length >= 2")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.nodes, self.values, left=0.0, right=0.0)
-        inside = (x >= self.nodes[0]) & (x <= self.nodes[-1])
-        out = np.where(inside, out, 0.0)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +65,6 @@ class FemBasis:
     @property
     def width(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
-
-    def hat(self, i: int) -> PiecewiseLinear:
-        """The i-th hat as a standalone piecewise-linear function."""
-        t = self.nodes
-        if i == 0:
-            return PiecewiseLinear(t[:2], np.array([1.0, 0.0]))
-        if i == self.num_elements:
-            return PiecewiseLinear(t[-2:], np.array([0.0, 1.0]))
-        return PiecewiseLinear(t[i - 1 : i + 2], np.array([0.0, 1.0, 0.0]))
 
     def hat_matrix(self, x) -> np.ndarray:
         """Values of every hat at the points ``x``; shape (size, len(x))."""
@@ -177,20 +145,19 @@ def _piece_integrals(breaks: np.ndarray, means: np.ndarray, sd: float):
     return i0, i1
 
 
-def _pf_hats(t: np.ndarray, widths, kernel: TransitionKernel, x: np.ndarray) -> np.ndarray:
+def _pf_hats(t: np.ndarray, h: float, kernel: TransitionKernel, x: np.ndarray) -> np.ndarray:
     """P applied to the hat of every breakpoint in ``t``, at the points ``x``.
 
-    The hats interpolate on the pieces of ``t`` and vanish outside it, so the
-    first and last are half hats.  ``widths`` are the piece lengths, as a
-    column of shape (len(t) - 1, 1) or one scalar for a uniform grid.
+    The hats interpolate on the pieces of ``t``, a uniform grid of width
+    ``h``, and vanish outside it, so the first and last are half hats.
     Returns shape (len(t), len(x)).
     """
     d = kernel.diffusion
     means = np.asarray(kernel.step_base(x), dtype=float) + d.drift
     sd = math.sqrt(d.variance)
     i0, i1 = _piece_integrals(t, means, sd)
-    up = (i1 - t[:-1, None] * i0) / widths
-    down = (t[1:, None] * i0 - i1) / widths
+    up = (i1 - t[:-1, None] * i0) / h
+    down = (t[1:, None] * i0 - i1) / h
     pf = np.zeros((t.size, x.size))
     pf[1:] += up
     pf[:-1] += down
@@ -208,20 +175,6 @@ def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for w, row in zip(weights[1:], rows[1:]):
         out += w * row
     return out
-
-
-def apply_kernel_operator(kernel: TransitionKernel, f, x):
-    """One-step expectation P f at the points ``x``, in closed form.
-
-    ``f`` may be a PiecewiseLinear (zero outside its support) or a plain
-    number, meaning the constant function, which P preserves exactly.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(f, (int, float)):
-        out = np.full(x_arr.shape, float(f))
-        return out if np.ndim(x) else float(out[0])
-    out = _combine_rows(f.values, _pf_hats(f.nodes, np.diff(f.nodes)[:, None], kernel, x_arr))
-    return out if np.ndim(x) else float(out[0])
 
 
 def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
@@ -256,7 +209,7 @@ def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GramSystem:
     """Assembled normal equations of the projection, plus quadrature state.
 
@@ -277,8 +230,6 @@ class GramSystem:
     e_mass: float
     n_core: int
     rhs_scale: float = 1.0
-    coefficients: np.ndarray | None = None
-    residual: float | None = None
 
 
 def _tail_segments(r, cut: float, step_sd: float, outward: float) -> list[tuple[float, float]]:
@@ -372,15 +323,16 @@ def assemble_gram(
     )
 
 
-def solve_gram(system: GramSystem, rel_tol: float = 1e-8) -> np.ndarray:
+def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
     """Cholesky solve of the assembled system, with a tiny diagonal shift.
 
     The shift alone leaves a residual of about shift * |alpha|, so two steps
     of iterative refinement against the unshifted matrix reuse the shifted
     factor to remove it.  The acceptance test is on the residual: any
     coefficient vector reproducing the right-hand side is as good as any
-    other, because the projection itself is unique.  Raises GramError if the
-    factorization fails or the residual exceeds the tolerance.
+    other, because the projection itself is unique.  Returns (alpha,
+    residual).  Raises GramError if the factorization fails or the residual
+    exceeds the tolerance.
     """
     a = system.matrix
     b = system.rhs
@@ -389,7 +341,7 @@ def solve_gram(system: GramSystem, rel_tol: float = 1e-8) -> np.ndarray:
     # The rhs entries carry roundoff of order eps times their absolute-value
     # quadrature sums; no solver can push the residual below that noise.
     tol = max(
-        rel_tol * float(np.linalg.norm(b)), 100.0 * np.finfo(float).eps * system.rhs_scale
+        _REL_TOL * float(np.linalg.norm(b)), 100.0 * np.finfo(float).eps * system.rhs_scale
     )
     try:
         factor = cho_factor(a + shift * np.eye(m), lower=True)
@@ -405,25 +357,23 @@ def solve_gram(system: GramSystem, rel_tol: float = 1e-8) -> np.ndarray:
             "check basis and quadrature",
             residual=res,
         )
-    system.coefficients = alpha
-    system.residual = res
-    return alpha
+    return alpha, res
 
 
 class RatioReconstruction:
     """Stationary-density estimate r * (1 - projection) / norm_sq.
 
-    ``projected`` is the best approximation of the constant function inside
-    the mapped test space, ``norm_sq`` the squared distance left over, and
-    ``ratio``/``density`` the resulting correction factor and density.
+    Solves ``system`` on construction: ``alpha`` and ``residual`` are the
+    coefficients and residual of ``solve_gram``.  ``projected`` is the best
+    approximation of the constant function inside the mapped test space,
+    ``norm_sq`` the squared distance left over, and ``ratio``/``density``
+    the resulting correction factor and density.
     """
 
     def __init__(self, system: GramSystem):
-        alpha = system.coefficients
-        if alpha is None:
-            raise GramError("solve the Gram system before reconstructing the density")
+        alpha, self.residual = solve_gram(system)
         self._system = system
-        self._alpha = alpha
+        self.alpha = alpha
         norm_sq = float(
             system.e_mass - 2.0 * alpha @ system.rhs + alpha @ dsymv(1.0, system.matrix, alpha)
         )
@@ -449,11 +399,11 @@ class RatioReconstruction:
         beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
         reach = ndtr(-beyond / math.sqrt(kernel.diffusion.variance))
         off_grid = (x_arr < basis.grid_lo) | (x_arr > basis.grid_hi)
-        near = np.flatnonzero(~off_grid | (np.abs(self._alpha).sum() * reach >= _FAR_FIELD))
+        near = np.flatnonzero(~off_grid | (np.abs(self.alpha).sum() * reach >= _FAR_FIELD))
         out = np.zeros(x_arr.size)
         for start in range(0, near.size, _CHUNK):
             part = near[start : start + _CHUNK]
-            out[part] = _combine_rows(self._alpha, lf_hat_matrix(basis, kernel, x_arr[part]))
+            out[part] = _combine_rows(self.alpha, lf_hat_matrix(basis, kernel, x_arr[part]))
         return out if np.ndim(x) else float(out[0])
 
     def ratio(self, x):
@@ -471,7 +421,7 @@ class RatioReconstruction:
     def domain_mass(self) -> tuple[float, float]:
         """(raw mass, clipped-away negative mass) over the working domain."""
         sl = slice(0, self._system.n_core)
-        q = (1.0 - _combine_rows(self._alpha, self._system.lf[:, sl])) / self.norm_sq
+        q = (1.0 - _combine_rows(self.alpha, self._system.lf[:, sl])) / self.norm_sq
         w = self._system.quad_w[sl]
         raw = float(w @ q)
         clipped = float(w @ np.clip(-q, 0.0, None))
@@ -497,30 +447,28 @@ class RatioReconstruction:
         np.add.at(masses, np.searchsorted(edges, cuts[:-1], side="right") - 1, panel)
         return masses
 
-    def table(self, grid: np.ndarray):
+    def table(self, grid: np.ndarray) -> tuple[np.ndarray, dict]:
         """Clipped, domain-renormalized samples plus diagnostics.
 
-        Returns (DensityTable, diagnostics dict).  Diagnostics report the
-        Gram solve's residual and 2-norm condition number, the raw mass
+        Returns (density on ``grid``, diagnostics dict).  Diagnostics report
+        the Gram solve's residual and 2-norm condition number, the raw mass
         before any clipping, the clipped-away mass, and the largest negative
         excursion on the requested grid.
         """
-        grid = np.asarray(grid, dtype=float)
         raw_vals = np.atleast_1d(self.density(grid))
         raw_mass, clipped_mass = self.domain_mass()
         clipped = np.clip(raw_vals, 0.0, None)
         positive_mass = raw_mass + clipped_mass
-        table = DensityTable(x=grid, density=clipped / positive_mass)
         singular = svdvals(self._system.matrix)
         diagnostics = {
             "norm_sq": self.norm_sq,
-            "residual": self._system.residual,
+            "residual": self.residual,
             "condition_estimate": float(singular[0] / singular[-1]),
             "raw_mass": raw_mass,
             "clipped_mass": clipped_mass,
             "max_clip": float(np.clip(-raw_vals, 0.0, None).max()),
         }
-        return table, diagnostics
+        return clipped / positive_mass, diagnostics
 
 
 def project_stationary_density(
@@ -529,8 +477,6 @@ def project_stationary_density(
     num_elements: int = 160,
     grid_lo: float | None = None,
     grid_hi: float | None = None,
-    quad_order: int = 16,
-    tail_order: int = 24,
 ):
     """End-to-end pipeline: proxy reference, basis, assembly, solve, rebuild.
 
@@ -542,6 +488,5 @@ def project_stationary_density(
     else:
         basis = build_basis(grid_lo, grid_hi, num_elements)
     kernel = TransitionKernel(diffusion=d, service_prob=mu)
-    system = assemble_gram(basis, kernel, r, quad_order=quad_order, tail_order=tail_order)
-    solve_gram(system)
+    system = assemble_gram(basis, kernel, r)
     return basis, system, RatioReconstruction(system)

@@ -21,11 +21,14 @@ from midnightq import (
 from midnightq.chain import (
     _CELLS,
     _arrival_window,
+    _binomial_window,
     _cell_table,
     _saturated_steps,
     _step_cuts,
+    _trim,
     binomial_pmf,
     empirical_pmf,
+    pmf_csv,
     poisson_pmf,
 )
 
@@ -383,6 +386,18 @@ class TestSimulatePath:
         assert stats.poisson.cdf(first - 1, lam) < 2.0**-70
         assert stats.poisson.sf(last, lam) < 2.0**-70
 
+    def test_binomial_window_equals_trimmed_full_pmf(self):
+        # Evaluating the binomial only on its window leaves out nothing that
+        # _trim would keep: the same offset and pmf, bit for bit.
+        rng = np.random.default_rng(3)
+        cases = [(n, mu) for n in (0, 1, 18, 66, 500, 20_000) for mu in (0.02, 1 / 5.3, 0.5, 0.95)]
+        cases += [(int(rng.integers(1, 30_000)), float(rng.uniform(0.01, 0.99))) for _ in range(400)]
+        for trials, prob in cases:
+            first, pmf = _binomial_window(trials, prob)
+            offset, full = _trim(binomial_pmf(trials, prob))
+            assert first == offset
+            assert np.array_equal(pmf, full)
+
     @pytest.mark.parametrize("busy, lam, mu", [(66, 11.37, 1 / 5.3), (19_000, 3610.0, 0.2)])
     def test_cell_lookup_equals_searchsorted(self, busy, lam, mu):
         offset, cuts = _step_cuts(busy, mu, _arrival_window(lam))
@@ -510,15 +525,11 @@ class TestTransientPMF:
 
 
 class TestSerialization:
-    def test_csv_format_and_determinism(self, tmp_path, params_small):
+    def test_csv_format_and_determinism(self, params_small):
         pi = stationary_pmf(build_kernel(params_small))
-        f1 = tmp_path / "a.csv"
-        f2 = tmp_path / "b.csv"
-        pi.to_csv(str(f1))
-        pi.to_csv(str(f2))
-        text = f1.read_text()
+        text = pmf_csv(pi.support, pi.mass)
         assert text.splitlines()[0] == "state,probability"
-        assert text == f2.read_text()
+        assert text == pmf_csv(pi.support, pi.mass)
         # 12 significant digits survive a round trip at that precision
         value = text.splitlines()[1].split(",")[1]
         assert float(value) == pytest.approx(pi.mass[0], rel=1e-11)

@@ -4,9 +4,27 @@ import time
 
 import pytest
 
-from midnightq.cli import build_config, main
+from midnightq.cli import _OPTIONS, build_config, main
 
 SMALL_ARGS = ["--n", "18", "--lambda", "3.03", "--mean-los", "5.3"]
+# Per option: a config-file value and a different flag text, neither the default.
+OPTION_VALUES = {
+    "n": (18, "25"),
+    "lambda": (3.03, "4.5"),
+    "mu": (0.2, "0.3"),
+    "mean_los": (5.3, "6.5"),
+    "truncation": (120, "150"),
+    "grid_lo": (-10.0, "-12.5"),
+    "grid_hi": (30.0, "40.5"),
+    "elements": (40, "60"),
+    "tol": (1e-10, "1e-11"),
+    "steps": (100, "200"),
+    "replications": (50, "70"),
+    "seed": (9, "4"),
+    "beta_star": (0.5, "0.75"),
+    "out": ("a.csv", "b.csv"),
+    "format": ("json", "csv"),
+}
 
 
 class TestConfigParsing:
@@ -53,6 +71,32 @@ class TestConfigParsing:
     def test_sizes_list_for_limit_check(self):
         cfg = build_config(["limit-check", "--n", "25,100,400", "--mu", "0.2"])
         assert cfg.sizes == (25, 100, 400)
+
+    @pytest.mark.parametrize("key", sorted(_OPTIONS))
+    def test_option_key_and_flag_set_the_same_field(self, key, tmp_path):
+        field = _OPTIONS[key][0]
+        file_value, flag_text = OPTION_VALUES[key]
+        flag = "--" + key.replace("_", "-")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: file_value}))
+        by_file = build_config(["exact", "--config", str(cfg_file)])
+        assert by_file == build_config(["exact", flag, str(file_value)])
+        assert getattr(by_file, field) != getattr(build_config(["exact"]), field)
+        both = build_config(["exact", "--config", str(cfg_file), flag, flag_text])
+        assert both == build_config(["exact", flag, flag_text])
+        assert getattr(both, field) != getattr(by_file, field)
+
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"format": "xml"}))
+        with pytest.raises(SystemExit) as err:
+            build_config(["exact", *SMALL_ARGS, "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_one_server_count_outside_limit_check(self, capsys):
+        assert main(["exact", "--n", "25,100", "--lambda", "3.03", "--mu", "0.2"]) == 2
+        assert "one server count" in capsys.readouterr().err
 
     def test_mu_and_mean_los_conflict(self):
         with pytest.raises(ValueError, match="not both"):
