@@ -140,13 +140,7 @@ def _cmd_projection(cfg: RunConfig) -> int:
         grid_hi=cfg.grid_hi,
     )
     grid = _formula_grid(cfg, d)
-    density, diag = recon.table(grid)
-    diagnostics = {
-        "norm_sq": diag["norm_sq"],
-        "residual": diag["residual"],
-        "condition_estimate": diag["condition_estimate"],
-        "clipped_mass": diag["clipped_mass"],
-    }
+    density, diagnostics = recon.table(grid)
     if cfg.fmt == "csv":
         _emit(diff_mod.density_csv(grid, density), cfg.out)
         sys.stderr.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
@@ -230,6 +224,9 @@ _COMMANDS = {
 }
 
 _JSON_ONLY = {"limit-check", "compare"}
+# limit-check's horizon in days when --steps is not given; RunConfig.steps'
+# default is the length of a simulate path.
+_LIMIT_HORIZON = 10
 
 
 def counts(text: str) -> tuple[int, ...]:
@@ -248,7 +245,7 @@ _OPTIONS = {
     "grid_hi": ("grid_hi", float, "right end of the working domain"),
     "elements": ("elements", int, "finite elements (default 160)"),
     "tol": ("tol", float, "stationary-solve residual (default 1e-12)"),
-    "steps": ("steps", int, "simulation days / harness horizon"),
+    "steps": ("steps", int, "simulation days (default 10^6) / limit-check horizon (default 10)"),
     "replications": ("replications", int, "harness replications"),
     "seed": ("seed", int, "PRNG seed (default 0)"),
     "beta_star": ("beta_star", float, "limit-check: sqrt(N)(1 - load) of every size (default 1)"),
@@ -291,6 +288,8 @@ def build_config(argv: list[str]) -> RunConfig:
 
     given = {field: getattr(args, field) for field, _, _ in _OPTIONS.values()}
     cfg = RunConfig(args.command, **{k: v for k, v in given.items() if v is not None})
+    if args.command == "limit-check" and args.steps is None:
+        cfg.steps = _LIMIT_HORIZON
     if args.command in _JSON_ONLY:
         if args.fmt not in (None, "json"):
             raise ValueError(f"{args.command} only emits JSON")

@@ -222,6 +222,16 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert [e["n"] for e in payload["entries"]] == [25, 100]
 
+    def test_each_command_has_its_own_steps_default(self, capsys):
+        # Without --steps, limit-check steps 10 days, not simulate's 10^6.
+        args = ["limit-check", "--n", "25,100", "--mean-los", "5.3"]
+        assert build_config(args).steps == 10
+        assert build_config(["simulate", *SMALL_ARGS]).steps == 1_000_000
+        assert main(args) == 0
+        by_default = capsys.readouterr().out
+        assert main([*args, "--steps", "10"]) == 0
+        assert capsys.readouterr().out == by_default
+
     def test_beta_star_flag_matches_config_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"beta_star": 0.5}))

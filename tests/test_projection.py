@@ -1,9 +1,11 @@
+import json
 import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import svdvals
 from scipy.special import ndtr
 
 from midnightq import (
@@ -22,6 +24,7 @@ from midnightq import (
     proxy_density,
     solve_gram,
 )
+from midnightq.cli import main
 from midnightq.compare import lattice_edges
 from midnightq.projection import (
     GramSystem,
@@ -34,6 +37,34 @@ from midnightq.projection import (
 TOY = DiffusionParams(
     drift=0.0, variance=1.0, tail_rate=1.0, gaussian_center=-1.0, ou_variance=1.0
 )
+
+
+# Reach of each point's hat window, in step standard deviations.
+REACH_SD = 10.0
+
+
+def reach_window(basis, kernel, x):
+    """(first hat, width) of the window each point of ``x`` evaluates."""
+    sd = math.sqrt(kernel.diffusion.variance)
+    width = min(basis.size, math.ceil(2 * REACH_SD * sd / basis.width) + 2)
+    means = kernel.step_base(x) + kernel.diffusion.drift
+    first = np.floor((means - REACH_SD * sd - basis.grid_lo) / basis.width)
+    return np.clip(first, 0, basis.size - width), width
+
+
+def band_bound(system):
+    """Bound on |G_ij - dense G_ij| when each lf entry is within Phi(-Z) of
+    its dense value: Phi(-Z) (s_i + s_j + Phi(-Z) e_mass), s_i = sum w |lf_i|.
+    """
+    delta = ndtr(-REACH_SD)
+    s = np.abs(system.lf) @ system.quad_w
+    return delta * (s[:, None] + s[None, :] + delta * system.e_mass)
+
+
+def dense_lf(system):
+    """L f over the whole grid: P f of every hat at every quadrature node."""
+    basis, x = system.basis, system.quad_x
+    return _pf_hats(basis.nodes, basis.width, system.kernel, x) - basis.hat_matrix(x)
 
 
 def small_setup(params, m=64, quad_order=16, tail_order=24):
@@ -167,7 +198,17 @@ class TestKernelOperator:
             ]
         )
         dense = _pf_hats(t, basis.width, kernel, xs) - basis.hat_matrix(xs)
-        assert np.array_equal(lf_hat_matrix(basis, kernel, xs), dense)
+        lf = lf_hat_matrix(basis, kernel, xs)
+        assert np.all(np.abs(lf - dense) <= ndtr(-REACH_SD))
+        # Inside each point's window, but for its two end rows, P f is the
+        # same computation as over the whole grid.
+        rows = np.arange(basis.size)[:, None]
+        first, width = reach_window(basis, kernel, xs)
+        inner = (rows > first) & (rows < first + width - 1)
+        assert np.array_equal(lf[inner], dense[inner])
+        # Outside it P f is not evaluated: only the hat itself is left.
+        outside = (rows < first) | (rows >= first + width)
+        assert np.array_equal(lf[outside], -basis.hat_matrix(xs)[outside])
 
 
 class TestAssembleGram:
@@ -198,7 +239,13 @@ class TestAssembleGram:
         abs_weighted = np.abs(base.lf) * np.sqrt(base.quad_w)
         matrix_noise = 100.0 * eps * (abs_weighted @ abs_weighted.T)
         matrix_diff = np.abs(base.matrix - fine.matrix)
-        ok = (matrix_diff <= 1e-9 * np.abs(base.matrix)) | (matrix_diff <= matrix_noise)
+        # Or it sits below what each system's band may leave out of it.
+        band_gap = 2.0 * band_bound(base)
+        ok = (
+            (matrix_diff <= 1e-9 * np.abs(base.matrix))
+            | (matrix_diff <= matrix_noise)
+            | (matrix_diff <= band_gap)
+        )
         assert ok.all()
 
         rhs_noise = 100.0 * eps * (np.abs(base.lf) @ base.quad_w)
@@ -395,6 +442,12 @@ class TestReconstruction:
             assert f(xs[k : k + 7_259])[0] == alone
             assert f(xs[k - 3_000 : k + 4_259])[3_000] == alone
 
+    def test_nan_point_has_nan_density(self, params_small):
+        d = derive_diffusion_params(params_small)
+        _, _, recon = project_stationary_density(d, params_small.daily_service_prob)
+        values = recon.density(np.array([math.nan, 0.0]))
+        assert math.isnan(values[0]) and values[1] > 0.0
+
     def test_refining_basis_shrinks_bar_residual(self, params_small):
         # Held-out hats, not aligned with either basis: the weighted residual
         # of the stationarity identity must drop as the test space grows.
@@ -436,3 +489,41 @@ class TestPurePipeline:
         first, second = RatioReconstruction(system), RatioReconstruction(system)
         assert np.array_equal(first.alpha, second.alpha)
         assert first.residual == second.residual
+
+
+@pytest.fixture(scope="module", params=["params_small", "params_medium", "params_large"])
+def benchmark_system(request):
+    """(params, Gram system) of the default projection of a benchmark system."""
+    params = request.getfixturevalue(request.param)
+    d = derive_diffusion_params(params)
+    _, system, _ = project_stationary_density(d, params.daily_service_prob)
+    return params, system
+
+
+class TestHatBand:
+    def test_lf_and_gram_are_within_the_band_bound_of_dense(self, benchmark_system):
+        _, system = benchmark_system
+        dense = dense_lf(system)
+        assert np.abs(system.lf - dense).max() <= ndtr(-REACH_SD)
+        root_w = np.sqrt(system.quad_w)
+        weighted = dense * root_w
+        abs_weighted = np.abs(dense) * root_w
+        floor = 100.0 * np.finfo(float).eps * (abs_weighted @ abs_weighted.T)
+        gap = np.abs(system.matrix - weighted @ weighted.T)
+        assert np.all(gap <= band_bound(system) + floor)
+
+    def test_lf_holds_no_subnormal_entry(self, benchmark_system):
+        _, system = benchmark_system
+        tiny = np.abs(system.lf) < np.finfo(float).tiny
+        assert np.all(system.lf[tiny] == 0.0)
+
+    def test_printed_condition_matches_dense_reference(self, benchmark_system, capsys):
+        params, system = benchmark_system
+        weighted = dense_lf(system) * np.sqrt(system.quad_w)
+        singular = svdvals(weighted @ weighted.T)
+        args = ["projection", "--n", str(params.n_servers),
+                "--lambda", repr(params.daily_arrival_rate),
+                "--mu", repr(params.daily_service_prob), "--format", "json"]
+        assert main(args) == 0
+        printed = json.loads(capsys.readouterr().out)["diagnostics"]["condition_estimate"]
+        assert printed == float(f"{singular[0] / singular[-1]:.6g}")
