@@ -131,13 +131,6 @@ class SimulatedPath:
     params: ModelParams
 
 
-def pmf_csv(states: np.ndarray, mass: np.ndarray) -> str:
-    """``state,probability`` rows with 12 significant digits."""
-    lines = ["state,probability"]
-    lines += [f"{int(s)},{p:.12g}" for s, p in zip(states, mass)]
-    return "\n".join(lines) + "\n"
-
-
 def default_truncation(p: ModelParams) -> int:
     """Top state high enough that the folded tail is numerically invisible.
 
@@ -158,11 +151,6 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def _poisson_pmf_to_tail(rate: float) -> np.ndarray:
-    """Poisson pmf out past where its upper tail falls far below ``_TAIL``."""
-    return poisson_pmf(rate, math.ceil(rate + 12.0 * math.sqrt(rate) + 30.0))
-
-
 # Each tail cut from a law before a convolution holds less than this.
 _TRIM = _TAIL / 1024
 
@@ -174,49 +162,70 @@ def _trim(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, pmf[lo:hi]
 
 
-def _binomial_window(trials: int, prob: float) -> tuple[int, np.ndarray]:
-    """``(first, pmf)``: Binomial(trials, prob) on {first, ...}, trimmed by ``_trim``.
+def _window(mean: float, variance: float, top: float, pmf) -> tuple[int, np.ndarray]:
+    """``(first, pmf)``: a law on {0, ..., top}, near its mean, trimmed by ``_trim``.
 
-    The pmf is evaluated only within 12 standard deviations (plus 30) of
-    the mean, outside of which each tail holds far less than ``_TRIM``, so
-    the window holds O(sqrt(trials)) counts.
+    ``pmf(first, last)`` evaluates the law on {first, ..., last}.  It is
+    called only within 12 standard deviations (plus 30) of the mean,
+    outside of which each tail holds far less than ``_TRIM``, so the
+    window holds O(sd) counts.
     """
-    mean = trials * prob
-    spread = 12.0 * math.sqrt(mean * (1.0 - prob)) + 30.0
+    spread = 12.0 * math.sqrt(variance) + 30.0
     first = max(math.floor(mean - spread), 0)
-    lo, pmf = _trim(binomial_pmf(trials, prob, first, min(math.ceil(mean + spread), trials)))
-    return first + lo, pmf
+    lo, kept = _trim(pmf(first, min(math.ceil(mean + spread), top)))
+    return first + lo, kept
 
 
-def _up_reach(arrivals: np.ndarray, mu: float, busy: int) -> int:
-    """Largest one-day step up from a state with ``busy`` busy servers.
+def _binomial_window(trials: int, prob: float) -> tuple[int, np.ndarray]:
+    """Binomial(trials, prob) as a ``_window``."""
+    mean = trials * prob
+    return _window(
+        mean, mean * (1.0 - prob), trials, lambda lo, hi: binomial_pmf(trials, prob, lo, hi)
+    )
 
-    The step is A - D with D ~ Binomial(busy, mu); beyond the reach its
-    tail holds less than ``_TAIL``.  More busy servers only lower the step,
-    so the reach also bounds every state above.
+
+def _arrival_window(rate: float) -> tuple[int, np.ndarray]:
+    """Poisson(rate) as a ``_window``."""
+    return _window(rate, rate, math.inf, lambda lo, hi: poisson_pmf(rate, hi, lo))
+
+
+def _step_law(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """``(first, pmf)``: one day's step A - D from ``busy`` busy servers.
+
+    A has the law ``arrivals`` = ``(first, pmf)`` and D the law
+    ``_binomial_window(busy, mu)``; index i of the pmf is the step first + i.
     """
+    arrivals_first, arrival_pmf = arrivals
     offset, departures = _binomial_window(busy, mu)
-    # index i of `steps` is the step i - most, where A - D >= -most
     most = offset + departures.size - 1
-    steps = np.convolve(departures[::-1], arrivals)
-    at_least = np.cumsum(steps[::-1])[::-1]  # P(step >= i - most), summed from the far tail up
-    return max(int(np.argmax(at_least < _TAIL)) - 1 - most, 0)
+    return arrivals_first - most, np.convolve(departures[::-1], arrival_pmf)
 
 
-def _down_reach(arrivals: np.ndarray, mu: float, n: int) -> int:
-    """Largest one-day step down that a row keeps.
+def _up_reach(law: tuple[int, np.ndarray]) -> int:
+    """Largest step up whose upper tail still holds ``_TAIL``, at least 0.
+
+    ``law`` is a ``_step_law`` of trimmed laws, whose upper tail the trims
+    lower by less than 2 ``_TRIM``, so it is held to that much less.  More
+    busy servers only lower the step, so the reach from a busy count also
+    bounds every state above.
+    """
+    first, pmf = law
+    at_least = np.cumsum(pmf[::-1])[::-1]  # P(step >= first + i), summed from the far tail up
+    return max(first + int(np.count_nonzero(at_least >= _TAIL - 2 * _TRIM)) - 1, 0)
+
+
+def _down_reach(law: tuple[int, np.ndarray]) -> int:
+    """Largest step down whose lower tail still holds ``_TAIL``, at least 0.
 
     D <= min(x, N) departures, and D ~ Binomial(N, mu) is the
-    stochastically largest, so the saturated displacement law bounds the
-    down steps of every row.  Below the reach its tail holds less than
-    ``_TAIL``.
+    stochastically largest, so the reach of the saturated ``_step_law``
+    bounds the down steps of every row.  Unlike ``_up_reach``, the level
+    leaves no room for the trims, so a row drops less than ``_TAIL`` + 2
+    ``_TRIM`` below its band.
     """
-    offset, departures = _binomial_window(n, mu)
-    most = offset + departures.size - 1
-    displacement = np.convolve(departures[::-1], arrivals[: _up_reach(arrivals, mu, 0) + 1])
-    # index i of `displacement` is the step i - most
-    below = int(np.argmax(np.cumsum(displacement) >= _TAIL))
-    return max(most - below, 0)
+    first, pmf = law
+    below = int(np.count_nonzero(np.cumsum(pmf) < _TAIL))  # steps below first + below
+    return max(-(first + below), 0)
 
 
 def build_kernel(
@@ -251,9 +260,9 @@ def build_kernel(
     lam = p.daily_arrival_rate
     mu = p.daily_service_prob
     busy = min(lower, n)
-    arrivals = _poisson_pmf_to_tail(lam)
-    kl = _down_reach(arrivals, mu, n)
-    ku = _up_reach(arrivals, mu, busy)
+    arrivals = _arrival_window(lam)
+    kl = _down_reach(_step_law(n, mu, arrivals))
+    ku = _up_reach(_step_law(busy, mu, arrivals))
     size = k_max - lower + 1
     needed = 8 * (2 * ku + kl + 1) * size
     available = _memory_budget()
@@ -265,15 +274,12 @@ def build_kernel(
         )
 
     band = np.zeros((size, kl + ku + 1))
-    offset, departures = _binomial_window(busy, mu)
-    most = offset + departures.size - 1  # largest departure count kept
-    # Steps -kl..ku need the arrivals first..most + ku; with busy = 0 the
-    # row is the arrival pmf itself.
-    first = max(offset - kl, 0)
-    steps = np.convolve(departures[::-1], poisson_pmf(lam, most + ku)[first:])
-    lo = max(most - kl - first, 0)  # index i of `steps` is the step i + first - most
-    row = steps[lo : most + ku - first + 1]
-    col = kl + lo + first - most
+    # The row keeps the arrivals' far lower tail, which the trimmed window
+    # drops: with busy = 0 the row is the arrival pmf itself.
+    first, steps = _step_law(busy, mu, (0, poisson_pmf(lam, busy + ku)))
+    lo = max(-kl - first, 0)  # index i of `steps` is the step first + i
+    row = steps[lo : ku - first + 1]
+    col = kl + first + lo
     # Log-space evaluation leaves a pmf's scale a few ulps of its log terms
     # off; the sum fixes it, since the dropped tails are below _TAIL.
     band[0, col : col + row.size] = row / row.sum()
@@ -391,39 +397,23 @@ def _path_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=seed))
 
 
-def _arrival_window(rate: float) -> tuple[int, np.ndarray]:
-    """``(first, pmf)``: Poisson(rate) on {first, ...}, trimmed by ``_trim``.
-
-    The pmf is evaluated only within 12 standard deviations (plus 30) of
-    the rate, outside of which each tail holds far less than ``_TRIM``, so
-    the window holds O(sqrt(rate)) states.
-    """
-    spread = 12.0 * math.sqrt(rate) + 30.0
-    first = max(math.floor(rate - spread), 0)
-    lo, pmf = _trim(poisson_pmf(rate, math.ceil(rate + spread), first))
-    return first + lo, pmf
-
-
 def _step_cuts(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
     """Inverse-CDF table of one day's step A - D from ``busy`` busy servers.
 
-    A has the law ``arrivals`` = ``(first, pmf)`` from ``_arrival_window``
-    and D ~ Binomial(busy, mu).  Returns ``(offset, cuts)``: ``offset +
+    A has the law ``arrivals`` = ``(first, pmf)``, as from
+    ``_arrival_window``.  Returns ``(offset, cuts)``: ``offset +
     bisect_right(cuts, u)`` is the step for a uniform ``u``.  The cuts are
-    CDF values of the convolution of the trimmed laws, normalized; those
-    with less than ``_RESOLUTION`` of mass below or above them are dropped,
-    and the offset keeps the count.  So the step never falls below -busy.
+    CDF values of the ``_step_law``, normalized; those with less than
+    ``_RESOLUTION`` of mass below or above them are dropped, and the offset
+    keeps the count.  So the step never falls below -busy.
     """
-    first, arrival_pmf = arrivals
-    offset, departures = _binomial_window(busy, mu)
-    most = offset + departures.size - 1
-    pmf = np.convolve(departures[::-1], arrival_pmf)  # index i is the step first - most + i
+    first, pmf = _step_law(busy, mu, arrivals)
     pmf /= pmf.sum()
     cdf = np.cumsum(pmf[:-1])
     above = np.cumsum(pmf[:0:-1])  # above[j] = P(step index >= size - 1 - j)
     hi = cdf.size - int(np.searchsorted(above, _RESOLUTION))
     lo = min(int(np.searchsorted(cdf, _RESOLUTION)), hi)
-    return first - most + lo, cdf[lo:hi]
+    return first + lo, cdf[lo:hi]
 
 
 def _cell_table(offset: int, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,18 +494,17 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
     return SimulatedPath(seed=seed, counts=counts, params=p)
 
 
-def _floor_of(*laws: np.ndarray) -> int:
+def _floor_of(*laws: tuple[int, np.ndarray]) -> int:
     """Largest k with P(Y < k) <= ``_TAIL``, Y the sum of independent ``laws``.
 
-    Each law is a pmf on {0, 1, ...}.  Trimming a law's two tails moves the
-    computed P(Y < k) down by less than 2 ``_TRIM``, so the level it is
-    held to leaves that much room.
+    Each law is a window ``(first, pmf)``, trimmed by ``_trim``.  The trims
+    move the computed P(Y < k) down by less than 2 ``_TRIM`` per law, so
+    the level it is held to leaves that much room.
     """
     offset, law = 0, np.ones(1)
-    for pmf in laws:
-        lo, kept = _trim(pmf)
-        offset += lo
-        law = np.convolve(law, kept)
+    for first, pmf in laws:
+        offset += first
+        law = np.convolve(law, pmf)
     level = _TAIL - 2 * len(laws) * _TRIM
     return offset + int(np.searchsorted(np.cumsum(law), level, side="right"))
 
@@ -556,8 +545,9 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
     (x0 - N)+ + r only if some sum of 1..s consecutive steps exceeds r.
     ``_saturated_rise`` bounds each of these horizon (horizon + 3) / 2
     sums at level ``_TAIL`` / (horizon + 3), so the count passes max(x0,
-    N) + r with probability at most horizon * ``_TAIL`` / 2.  K is the smaller bound.
-    A window from 0 reaches the server count, as ``build_kernel`` requires.
+    N) + r with probability at most horizon * ``_TAIL`` / 2.  K is the
+    smaller bound, but at least x0: at low load r can be negative.  A
+    window from 0 reaches the server count, as ``build_kernel`` requires.
     """
     n = p.n_servers
     lam = p.daily_arrival_rate
@@ -566,19 +556,19 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
     lower = x0
     for s in range(1, horizon + 1):
         survive = math.exp(s * log_keep)
-        arrived = _poisson_pmf_to_tail(-lam * math.expm1(s * log_keep) / mu)
+        arrived = _arrival_window(-lam * math.expm1(s * log_keep) / mu)
         if x0 * survive < _TAIL:
             # Every later day's law is >=st this Poisson law, whose mean
             # only grows with s.
             lower = min(lower, _floor_of(arrived))
             break
-        lower = min(lower, _floor_of(binomial_pmf(x0, survive), arrived))
+        lower = min(lower, _floor_of(_binomial_window(x0, survive), arrived))
     lower = max(lower, x0 - horizon * n)  # no day has more than N departures
     top = min(
-        x0 + horizon * _up_reach(_poisson_pmf_to_tail(lam), mu, min(lower, n)),
+        x0 + horizon * _up_reach(_step_law(min(lower, n), mu, _arrival_window(lam))),
         max(x0, n) + _saturated_rise(p, horizon, _TAIL / (horizon + 3)),
     )
-    return lower, max(top, n) if lower == 0 else top
+    return lower, max(top, x0, n if lower == 0 else 0)
 
 
 def transient_pmf(p: ModelParams, horizon: int, x0: int) -> tuple[np.ndarray, np.ndarray]:

@@ -83,12 +83,22 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def csv_table(points: np.ndarray, values: np.ndarray) -> str:
+    """CSV of a law: ``state,probability`` rows on integer states, else
+    ``x,density`` rows on a real grid; values to 12 significant digits."""
+    lattice = np.issubdtype(points.dtype, np.integer)
+    row = "{:d},{:.12g}" if lattice else "{:.12g},{:.12g}"
+    lines = ["state,probability" if lattice else "x,density"]
+    lines += [row.format(x, v) for x, v in zip(points.tolist(), values.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_exact(cfg: RunConfig) -> int:
     p = cfg.model_params()
     kernel = chain_mod.build_kernel(p, cfg.truncation)
     pmf = chain_mod.stationary_pmf(kernel, tol=cfg.tol)
     if cfg.fmt == "csv":
-        _emit(chain_mod.pmf_csv(pmf.support, pmf.mass), cfg.out)
+        _emit(csv_table(pmf.support, pmf.mass), cfg.out)
     else:
         payload = {
             "states": pmf.support.tolist(),
@@ -102,10 +112,7 @@ def _cmd_exact(cfg: RunConfig) -> int:
 
 
 def _formula_grid(cfg: RunConfig, d) -> np.ndarray:
-    if cfg.grid_lo is not None and cfg.grid_hi is not None:
-        lo, hi = cfg.grid_lo, cfg.grid_hi
-    else:
-        lo, hi = proj_mod.default_domain(d)
+    lo, hi = proj_mod.working_domain(d, cfg.grid_lo, cfg.grid_hi)
     return np.linspace(lo, hi, 2 * cfg.elements + 1)
 
 
@@ -116,7 +123,7 @@ def _cmd_formula(cfg: RunConfig) -> int:
     grid = _formula_grid(cfg, d)
     density = proxy(grid)
     if cfg.fmt == "csv":
-        _emit(diff_mod.density_csv(grid, density), cfg.out)
+        _emit(csv_table(grid, density), cfg.out)
     else:
         payload = {
             "x": grid.tolist(),
@@ -142,7 +149,7 @@ def _cmd_projection(cfg: RunConfig) -> int:
     grid = _formula_grid(cfg, d)
     density, diagnostics = recon.table(grid)
     if cfg.fmt == "csv":
-        _emit(diff_mod.density_csv(grid, density), cfg.out)
+        _emit(csv_table(grid, density), cfg.out)
         sys.stderr.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     else:
         payload = {
@@ -165,7 +172,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     burn_in = min(10_000, cfg.steps // 10)
     states, freq = chain_mod.empirical_pmf(path.counts, burn_in=burn_in)
     if cfg.fmt == "csv":
-        _emit(chain_mod.pmf_csv(states, freq), cfg.out)
+        _emit(csv_table(states, freq), cfg.out)
     else:
         tail = path.counts[burn_in:]
         payload = {
@@ -283,6 +290,9 @@ def build_config(argv: list[str]) -> RunConfig:
         unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        nulls = [key for key, value in file_cfg.items() if value is None]
+        if nulls:
+            raise ValueError(f"config keys without a value: {sorted(nulls)}")
         entries = [f"--{key.replace('_', '-')}={value}" for key, value in file_cfg.items()]
         args = parser.parse_args(entries + argv)
 

@@ -201,7 +201,7 @@ def simulate_diffusion(
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
-    rng = np.random.Generator(np.random.Philox(seed=seed))
+    rng = chain_mod._path_rng(seed)
     sd = math.sqrt(d.variance)
     keep = 1.0 - mu
 
@@ -311,7 +311,7 @@ def _simulate_limit_recursion(
     n_paths: int,
     seed,
 ) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(seed=seed))
+    rng = chain_mod._path_rng(seed)
     sd = math.sqrt(variance)
     x = np.zeros(n_paths)
     keep = 1.0 - mu
@@ -360,10 +360,3 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
             )
         )
     return LimitReport(entries=tuple(entries), warnings=tuple(warnings))
-
-
-def density_csv(x: np.ndarray, density: np.ndarray) -> str:
-    """``x,density`` rows with 12 significant digits."""
-    lines = ["x,density"]
-    lines += [f"{xi:.12g},{di:.12g}" for xi, di in zip(x, density)]
-    return "\n".join(lines) + "\n"

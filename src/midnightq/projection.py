@@ -105,19 +105,26 @@ def build_basis(grid_lo: float, grid_hi: float, m: int) -> FemBasis:
     )
 
 
-def default_domain(d: DiffusionParams) -> tuple[float, float]:
-    """Working domain covering the Gaussian branch to 6 sd and the
-    exponential branch to twelve e-folds of decay."""
+def working_domain(
+    d: DiffusionParams, grid_lo: float | None = None, grid_hi: float | None = None
+) -> tuple[float, float]:
+    """``(grid_lo, grid_hi)``, by default the domain covering the Gaussian
+    branch to 6 sd and the exponential branch to twelve e-folds of decay.
+
+    Refuses one end without the other with ValueError.
+    """
+    if (grid_lo is None) != (grid_hi is None):
+        raise ValueError("the working domain needs both grid_lo and grid_hi, or neither")
+    if grid_lo is not None:
+        return grid_lo, grid_hi
     if d.tail_rate <= 0.0:
         raise ValueError("default domain needs a stable regime (positive tail rate)")
-    lo = d.gaussian_center - 6.0 * math.sqrt(d.ou_variance)
-    hi = 12.0 / d.tail_rate
-    return lo, hi
+    return d.gaussian_center - 6.0 * math.sqrt(d.ou_variance), 12.0 / d.tail_rate
 
 
 def default_basis(d: DiffusionParams, m: int) -> FemBasis:
     """Basis on the default domain, shifted minimally so zero is a node."""
-    lo, hi = default_domain(d)
+    lo, hi = working_domain(d)
     h = (hi - lo) / m
     j0 = min(max(round(-lo / h), 1), m - 1)
     lo = -j0 * h
@@ -513,10 +520,8 @@ def project_stationary_density(
     Returns (basis, system, reconstruction).
     """
     r = proxy_density(d, mu)
-    if grid_lo is None or grid_hi is None:
-        basis = default_basis(d, num_elements)
-    else:
-        basis = build_basis(grid_lo, grid_hi, num_elements)
+    lo, hi = working_domain(d, grid_lo, grid_hi)
+    basis = default_basis(d, num_elements) if grid_lo is None else build_basis(lo, hi, num_elements)
     kernel = TransitionKernel(diffusion=d, service_prob=mu)
     system = assemble_gram(basis, kernel, r)
     return basis, system, RatioReconstruction(system)

@@ -28,9 +28,9 @@ from midnightq.chain import (
     _trim,
     binomial_pmf,
     empirical_pmf,
-    pmf_csv,
     poisson_pmf,
 )
+from midnightq.cli import csv_table as pmf_csv
 
 # The point mass at zero arrivals: a step table over it is a departure table.
 _NO_ARRIVALS = (0, np.array([1.0]))
@@ -159,6 +159,23 @@ class TestBuildKernel:
         at_least = np.cumsum(steps[::-1])[::-1]
         assert at_least[303 + kernel.ku + 1] < 2.0**-60 <= at_least[303 + kernel.ku]
         assert kernel.ku < build_kernel(params_large).ku
+
+    @pytest.mark.parametrize("fixture", ["params_small", "params_medium", "params_large"])
+    def test_reaches_hold_the_step_tails(self, fixture, request):
+        # On a lattice from 0, row 0 steps by the arrivals alone: ku is their
+        # last step whose upper tail still holds 2^-60.  kl is the last step
+        # down whose lower tail still holds 2^-60 under the saturated step
+        # A - D, D ~ Binomial(N, mu), which bounds every row's.
+        p = request.getfixturevalue(fixture)
+        kernel = build_kernel(p)
+        n, lam, mu = p.n_servers, p.daily_arrival_rate, p.daily_service_prob
+        assert stats.poisson.sf(kernel.ku, lam) < 2.0**-60 <= stats.poisson.sf(kernel.ku - 1, lam)
+        steps = np.convolve(
+            stats.binom.pmf(np.arange(n + 1), n, mu)[::-1],
+            stats.poisson.pmf(np.arange(kernel.ku + 1), lam),
+        )  # index i is the step i - n
+        below = np.cumsum(np.concatenate([[0.0], steps]))  # below[i] = P(step < i - n)
+        assert below[n - kernel.kl] < 2.0**-60 <= below[n - kernel.kl + 1]
 
     def test_window_outside_lattice_rejected(self, params_small):
         with pytest.raises(ValueError, match="lower cut"):
@@ -512,6 +529,19 @@ class TestTransientPMF:
             assert mass[0] <= 2.0**-50
         assert mass[-1] <= 2.0**-50
         assert abs(mass.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_window_holds_a_start_above_its_bound(self, horizon):
+        # At load 0.2 with mu = 0.6 the saturated step falls by 192 a day
+        # with sd 12, so the bound on the rise is negative: no day ends above
+        # x0 - 74, yet the window must still hold the start.
+        p = ModelParams(400, 48.0, 0.6)
+        states, mass = transient_pmf(p, horizon, 450)
+        assert states[-1] == 450
+        oracle = transient_oracle(p, horizon, 450)
+        ours = np.zeros(oracle.size)
+        ours[states] = mass
+        assert tv(ours, oracle) <= 1e-12
 
     def test_zero_horizon_is_the_start(self, params_small):
         states, mass = transient_pmf(params_small, 0, 7)

@@ -54,6 +54,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config(["exact", "--config", str(cfg_file)])
 
+    def test_null_config_value_exit_2(self, tmp_path, monkeypatch, capsys):
+        # A null must not reach the flag parser as the text "None": the run
+        # would write a file of that name.
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": None, "n": 18, "lambda": 3.03, "mean_los": 5.3}))
+        assert main(["exact", "--config", str(cfg_file)]) == 2
+        assert "config keys without a value: ['out']" in capsys.readouterr().err
+        assert not (tmp_path / "None").exists()
+
     def test_lambda_star_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(
@@ -249,6 +259,14 @@ class TestCommands:
         args = ["limit-check", "--n", "4,25", "--mean-los", "5.3", "--beta-star", "2.5"]
         assert main(args) == 2
         assert "beta_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["formula", "projection", "compare"])
+    @pytest.mark.parametrize("end", ["--grid-lo=-10", "--grid-hi=40"])
+    def test_one_sided_domain_exit_2(self, command, end, capsys):
+        assert main([command, *SMALL_ARGS, end]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "both grid_lo and grid_hi" in captured.err
 
     def test_limit_check_rejects_csv(self, capsys):
         args = ["limit-check", "--n", "25,100", "--mu", "0.2", "--format", "csv"]

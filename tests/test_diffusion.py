@@ -20,7 +20,8 @@ from midnightq import (
     simulate_replications,
     transition_density,
 )
-from midnightq.diffusion import density_csv, ks_distance
+from midnightq.cli import csv_table as density_csv
+from midnightq.diffusion import ks_distance
 
 TOY = DiffusionParams(
     drift=-1.0, variance=4.0, tail_rate=0.5, gaussian_center=-2.0, ou_variance=16.0 / 3.0
