@@ -109,17 +109,17 @@ class StationaryPMF:
     params: ModelParams
     residual: float
 
-    def mean(self) -> float:
-        return float(self.support @ self.mass)
-
-    def sd(self) -> float:
-        m = self.mean()
-        return float(math.sqrt(max(0.0, (self.support - m) ** 2 @ self.mass)))
-
     def busy_server_mean(self) -> float:
         """Expected number of busy servers under the stationary law."""
         z = np.minimum(self.support, self.params.n_servers)
         return float(z @ self.mass)
+
+
+def lattice_moments(states: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of the law ``mass`` on integer ``states``."""
+    k = states.astype(float)
+    mean = float(k @ mass)
+    return mean, math.sqrt(max(0.0, float((k - mean) ** 2 @ mass)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +155,16 @@ def _memory_budget() -> int:
 _TRIM = _TAIL / 1024
 
 
+def _tails(pmf: np.ndarray, level: float) -> tuple[int, int]:
+    """``(lo, hi)``: the longest tails ``pmf[:lo]`` and ``pmf[hi:]`` that each
+    hold less than ``level``."""
+    lo = int(np.searchsorted(np.cumsum(pmf), level))
+    return lo, pmf.size - int(np.searchsorted(np.cumsum(pmf[::-1]), level))
+
+
 def _trim(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     """``(offset, pmf[offset:hi])``: each tail cut off holds less than ``_TRIM``."""
-    lo = int(np.searchsorted(np.cumsum(pmf), _TRIM))
-    hi = pmf.size - int(np.searchsorted(np.cumsum(pmf[::-1]), _TRIM))
+    lo, hi = _tails(pmf, _TRIM)
     return lo, pmf[lo:hi]
 
 
@@ -201,31 +207,19 @@ def _step_law(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[i
     return arrivals_first - most, np.convolve(departures[::-1], arrival_pmf)
 
 
-def _up_reach(law: tuple[int, np.ndarray]) -> int:
-    """Largest step up whose upper tail still holds ``_TAIL``, at least 0.
+def _reaches(law: tuple[int, np.ndarray]) -> tuple[int, int]:
+    """``(down, up)``: the largest steps down and up, each at least 0, whose
+    tails still hold ``_TAIL``.
 
-    ``law`` is a ``_step_law`` of trimmed laws, whose upper tail the trims
-    lower by less than 2 ``_TRIM``, so it is held to that much less.  More
-    busy servers only lower the step, so the reach from a busy count also
-    bounds every state above.
+    ``law`` is a ``_step_law`` of trimmed laws, whose tails the trims lower
+    by less than 2 ``_TRIM``, so each is held to that much less.  More busy
+    servers only lower the step, so the up reach from a busy count bounds
+    every state above, and the down reach of the saturated law, D ~
+    Binomial(N, mu), bounds every row.
     """
     first, pmf = law
-    at_least = np.cumsum(pmf[::-1])[::-1]  # P(step >= first + i), summed from the far tail up
-    return max(first + int(np.count_nonzero(at_least >= _TAIL - 2 * _TRIM)) - 1, 0)
-
-
-def _down_reach(law: tuple[int, np.ndarray]) -> int:
-    """Largest step down whose lower tail still holds ``_TAIL``, at least 0.
-
-    D <= min(x, N) departures, and D ~ Binomial(N, mu) is the
-    stochastically largest, so the reach of the saturated ``_step_law``
-    bounds the down steps of every row.  Unlike ``_up_reach``, the level
-    leaves no room for the trims, so a row drops less than ``_TAIL`` + 2
-    ``_TRIM`` below its band.
-    """
-    first, pmf = law
-    below = int(np.count_nonzero(np.cumsum(pmf) < _TAIL))  # steps below first + below
-    return max(-(first + below), 0)
+    lo, hi = _tails(pmf, _TAIL - 2 * _TRIM)
+    return max(-(first + lo), 0), max(first + hi - 1, 0)
 
 
 def build_kernel(
@@ -261,8 +255,9 @@ def build_kernel(
     mu = p.daily_service_prob
     busy = min(lower, n)
     arrivals = _arrival_window(lam)
-    kl = _down_reach(_step_law(n, mu, arrivals))
-    ku = _up_reach(_step_law(busy, mu, arrivals))
+    kl = _reaches(_step_law(n, mu, arrivals))[0]
+    law = _step_law(busy, mu, arrivals)
+    ku = _reaches(law)[1]
     size = k_max - lower + 1
     needed = 8 * (2 * ku + kl + 1) * size
     available = _memory_budget()
@@ -275,8 +270,10 @@ def build_kernel(
 
     band = np.zeros((size, kl + ku + 1))
     # The row keeps the arrivals' far lower tail, which the trimmed window
-    # drops: with busy = 0 the row is the arrival pmf itself.
-    first, steps = _step_law(busy, mu, (0, poisson_pmf(lam, busy + ku)))
+    # drops: with busy = 0 the row is the arrival pmf itself.  No kept step
+    # up to ku needs more arrivals than the departure window's top + ku.
+    most = arrivals[0] - law[0]  # the departure window's top
+    first, steps = _step_law(busy, mu, (0, poisson_pmf(lam, most + ku)))
     lo = max(-kl - first, 0)  # index i of `steps` is the step first + i
     row = steps[lo : ku - first + 1]
     col = kl + first + lo
@@ -402,18 +399,16 @@ def _step_cuts(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[
 
     A has the law ``arrivals`` = ``(first, pmf)``, as from
     ``_arrival_window``.  Returns ``(offset, cuts)``: ``offset +
-    bisect_right(cuts, u)`` is the step for a uniform ``u``.  The cuts are
-    CDF values of the ``_step_law``, normalized; those with less than
-    ``_RESOLUTION`` of mass below or above them are dropped, and the offset
-    keeps the count.  So the step never falls below -busy.
+    bisect_right(cuts, u)`` is the step for a uniform ``u``.  The
+    ``_step_law``, normalized, keeps the steps between its ``_tails`` of
+    less than ``_RESOLUTION``; the cuts are its CDF at each kept step but
+    the last, and the offset is the first kept step.  So the step never
+    falls below -busy.
     """
     first, pmf = _step_law(busy, mu, arrivals)
     pmf /= pmf.sum()
-    cdf = np.cumsum(pmf[:-1])
-    above = np.cumsum(pmf[:0:-1])  # above[j] = P(step index >= size - 1 - j)
-    hi = cdf.size - int(np.searchsorted(above, _RESOLUTION))
-    lo = min(int(np.searchsorted(cdf, _RESOLUTION)), hi)
-    return first + lo, cdf[lo:hi]
+    lo, hi = _tails(pmf, _RESOLUTION)
+    return first + lo, np.cumsum(pmf)[lo : hi - 1]
 
 
 def _cell_table(offset: int, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +490,7 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
 
 
 def _floor_of(*laws: tuple[int, np.ndarray]) -> int:
-    """Largest k with P(Y < k) <= ``_TAIL``, Y the sum of independent ``laws``.
+    """Largest k with P(Y < k) < ``_TAIL``, Y the sum of independent ``laws``.
 
     Each law is a window ``(first, pmf)``, trimmed by ``_trim``.  The trims
     move the computed P(Y < k) down by less than 2 ``_TRIM`` per law, so
@@ -505,8 +500,7 @@ def _floor_of(*laws: tuple[int, np.ndarray]) -> int:
     for first, pmf in laws:
         offset += first
         law = np.convolve(law, pmf)
-    level = _TAIL - 2 * len(laws) * _TRIM
-    return offset + int(np.searchsorted(np.cumsum(law), level, side="right"))
+    return offset + _tails(law, _TAIL - 2 * len(laws) * _TRIM)[0]
 
 
 def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
@@ -565,7 +559,7 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
         lower = min(lower, _floor_of(_binomial_window(x0, survive), arrived))
     lower = max(lower, x0 - horizon * n)  # no day has more than N departures
     top = min(
-        x0 + horizon * _up_reach(_step_law(min(lower, n), mu, _arrival_window(lam))),
+        x0 + horizon * _reaches(_step_law(min(lower, n), mu, _arrival_window(lam)))[1],
         max(x0, n) + _saturated_rise(p, horizon, _TAIL / (horizon + 3)),
     )
     return lower, max(top, x0, n if lower == 0 else 0)

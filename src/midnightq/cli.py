@@ -73,16 +73,6 @@ class RunConfig:
         raise ValueError("one of --mu or --mean-los is required")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
 def csv_table(points: np.ndarray, values: np.ndarray) -> str:
     """CSV of a law: ``state,probability`` rows on integer states, else
     ``x,density`` rows on a real grid; values to 12 significant digits."""
@@ -93,22 +83,44 @@ def csv_table(points: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_exact(cfg: RunConfig) -> int:
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(cfg: RunConfig, table: tuple[np.ndarray, np.ndarray] | None, fields: dict) -> None:
+    """Emit a command's result to ``cfg.out`` or stdout.
+
+    ``table`` is the law as ``(points, values)``, or None for a JSON-only
+    command; ``fields`` holds the command's other JSON keys, and the JSON
+    is built in it.  CSV is the table alone.  JSON names the law's keys as
+    ``csv_table`` heads its columns: ``states``/``probabilities`` on
+    integer states, else ``x``/``density``.
+    """
+    if cfg.fmt == "csv" and table is not None:
+        text = csv_table(*table)
+    else:
+        if table is not None:
+            points, values = table
+            lattice = np.issubdtype(points.dtype, np.integer)
+            keys = ("states", "probabilities") if lattice else ("x", "density")
+            fields.update(zip(keys, (points.tolist(), values.tolist())))
+        text = _dumps(fields)
+    if cfg.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(cfg.out, "w") as fh:
+            fh.write(text)
+
+
+_Result = tuple[tuple[np.ndarray, np.ndarray] | None, dict]
+
+
+def _cmd_exact(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
     kernel = chain_mod.build_kernel(p, cfg.truncation)
     pmf = chain_mod.stationary_pmf(kernel, tol=cfg.tol)
-    if cfg.fmt == "csv":
-        _emit(csv_table(pmf.support, pmf.mass), cfg.out)
-    else:
-        payload = {
-            "states": pmf.support.tolist(),
-            "probabilities": pmf.mass.tolist(),
-            "residual": pmf.residual,
-            "mean": pmf.mean(),
-            "sd": pmf.sd(),
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    return 0
+    mean, sd = chain_mod.lattice_moments(pmf.support, pmf.mass)
+    return (pmf.support, pmf.mass), {"residual": pmf.residual, "mean": mean, "sd": sd}
 
 
 def _formula_grid(cfg: RunConfig, d) -> np.ndarray:
@@ -116,52 +128,33 @@ def _formula_grid(cfg: RunConfig, d) -> np.ndarray:
     return np.linspace(lo, hi, 2 * cfg.elements + 1)
 
 
-def _cmd_formula(cfg: RunConfig) -> int:
+def _cmd_formula(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
     d = derive_diffusion_params(p)
     proxy = diff_mod.proxy_density(d, p.daily_service_prob)
     grid = _formula_grid(cfg, d)
-    density = proxy(grid)
-    if cfg.fmt == "csv":
-        _emit(csv_table(grid, density), cfg.out)
-    else:
-        payload = {
-            "x": grid.tolist(),
-            "density": density.tolist(),
-            "tail_rate": proxy.tail_rate,
-            "gaussian_center": proxy.gaussian_center,
-            "ou_variance": proxy.ou_variance,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    return 0
+    fields = {
+        "tail_rate": proxy.tail_rate,
+        "gaussian_center": proxy.gaussian_center,
+        "ou_variance": proxy.ou_variance,
+    }
+    return (grid, proxy(grid)), fields
 
 
-def _cmd_projection(cfg: RunConfig) -> int:
+def _cmd_projection(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
     d = derive_diffusion_params(p)
     _, _, recon = proj_mod.project_stationary_density(
-        d,
-        p.daily_service_prob,
-        num_elements=cfg.elements,
-        grid_lo=cfg.grid_lo,
-        grid_hi=cfg.grid_hi,
+        d, p.daily_service_prob, num_elements=cfg.elements, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi
     )
     grid = _formula_grid(cfg, d)
     density, diagnostics = recon.table(grid)
     if cfg.fmt == "csv":
-        _emit(csv_table(grid, density), cfg.out)
-        sys.stderr.write(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
-    else:
-        payload = {
-            "x": grid.tolist(),
-            "density": density.tolist(),
-            "diagnostics": diagnostics,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    return 0
+        sys.stderr.write(_dumps(diagnostics))
+    return (grid, density), {"diagnostics": diagnostics}
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
     if p.load >= 1.0:
         sys.stderr.write(
@@ -170,26 +163,20 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         )
     path = chain_mod.simulate_path(p, cfg.steps, cfg.seed)
     burn_in = min(10_000, cfg.steps // 10)
-    states, freq = chain_mod.empirical_pmf(path.counts, burn_in=burn_in)
-    if cfg.fmt == "csv":
-        _emit(csv_table(states, freq), cfg.out)
-    else:
-        tail = path.counts[burn_in:]
-        payload = {
-            "states": states.tolist(),
-            "probabilities": freq.tolist(),
-            "steps": cfg.steps,
-            "burn_in": burn_in,
-            "seed": cfg.seed,
-            "mean": float(tail.mean()),
-            "mean_se": chain_mod.batch_means_se(tail),
-            "sd": float(tail.std()),
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
-    return 0
+    table = chain_mod.empirical_pmf(path.counts, burn_in=burn_in)
+    tail = path.counts[burn_in:]
+    fields = {
+        "steps": cfg.steps,
+        "burn_in": burn_in,
+        "seed": cfg.seed,
+        "mean": float(tail.mean()),
+        "mean_se": chain_mod.batch_means_se(tail),
+        "sd": float(tail.std()),
+    }
+    return table, fields
 
 
-def _cmd_limit_check(cfg: RunConfig) -> int:
+def _cmd_limit_check(cfg: RunConfig) -> _Result:
     if cfg.sizes is None:
         raise ValueError("--n must list the system sizes, e.g. --n 25,100,400")
     harness = diff_mod.LimitHarnessConfig(
@@ -203,22 +190,15 @@ def _cmd_limit_check(cfg: RunConfig) -> int:
     report = diff_mod.run_limit_harness(harness)
     for warning in report.warnings:
         sys.stderr.write(f"warning: {warning}\n")
-    _emit(report.to_json(), cfg.out)
-    return 0
+    return None, report.payload()
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    p = cfg.model_params()
+def _cmd_compare(cfg: RunConfig) -> _Result:
     report = compare_methods(
-        p,
-        truncation=cfg.truncation,
-        elements=cfg.elements,
-        tol=cfg.tol,
-        grid_lo=cfg.grid_lo,
-        grid_hi=cfg.grid_hi,
+        cfg.model_params(), truncation=cfg.truncation, elements=cfg.elements, tol=cfg.tol,
+        grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
     )
-    _emit(report.to_json(), cfg.out)
-    return 0
+    return None, report.payload()
 
 
 _COMMANDS = {
@@ -321,7 +301,8 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     handler = _COMMANDS[cfg.command]
     try:
-        return handler(cfg)
+        _write(cfg, *handler(cfg))
+        return 0
     except (chain_mod.ConvergenceError, proj_mod.GramError, UnstableRegimeError) as err:
         sys.stderr.write(f"solver failure: {err}\n")
         return 3

@@ -8,8 +8,6 @@ by their mean, standard deviation and waiting probability.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +40,13 @@ class ComparisonReport:
         }
 
     def _summary(self, mass: np.ndarray) -> dict[str, float]:
-        k = self.lattice.astype(float)
-        mean = float(k @ mass)
-        sd = math.sqrt(max(0.0, float((k - mean) ** 2 @ mass)))
+        mean, sd = chain.lattice_moments(self.lattice, mass)
         p_wait = float(mass[self.lattice > self.params.n_servers].sum())
         return {"mean": mean, "sd": sd, "p_wait": p_wait}
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as JSON-ready data."""
+        return {
             "params": {
                 "n": self.params.n_servers,
                 "lambda": self.params.daily_arrival_rate,
@@ -64,7 +61,6 @@ class ComparisonReport:
             ],
             "tv": self.tv(),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def lattice_edges(n_servers: int, k_max: int) -> np.ndarray:

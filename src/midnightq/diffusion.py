@@ -16,9 +16,8 @@ converges to the Gaussian-driven limit recursion as the system grows.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -277,20 +276,9 @@ class LimitReport:
     def ks_distances(self) -> list[float]:
         return [e.ks_distance for e in self.entries]
 
-    def to_json(self) -> str:
-        payload = {
-            "entries": [
-                {
-                    "n": e.n,
-                    "ks_distance": e.ks_distance,
-                    "replications": e.replications,
-                    "horizon": e.horizon,
-                }
-                for e in self.entries
-            ],
-            "warnings": list(self.warnings),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def payload(self) -> dict:
+        """The report as JSON-ready data."""
+        return {"entries": [asdict(e) for e in self.entries], "warnings": list(self.warnings)}
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

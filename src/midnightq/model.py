@@ -106,12 +106,6 @@ def derive_diffusion_params(p: ModelParams) -> DiffusionParams:
 
     drift = lam - n * mu
     variance = rho * n * mu * (2.0 - mu)
-    # The arrival + departure decomposition must match the collapsed form.
-    alt_variance = lam + rho * n * mu * (1.0 - mu)
-    if abs(alt_variance - variance) > 1e-12 * max(1.0, abs(variance)):
-        raise AssertionError(
-            f"variance identity violated: {alt_variance!r} != {variance!r}"
-        )
     tail_rate = -2.0 * drift / variance
     gaussian_center = drift / mu
     ou_variance = variance / (2.0 * mu - mu * mu)

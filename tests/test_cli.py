@@ -25,6 +25,24 @@ OPTION_VALUES = {
     "out": ("a.csv", "b.csv"),
     "format": ("json", "csv"),
 }
+# Small arguments for each command, and the keys of its JSON output.
+COMMAND_CASES = {
+    "exact": (SMALL_ARGS, {"states", "probabilities", "residual", "mean", "sd"}),
+    "formula": (
+        [*SMALL_ARGS, "--elements", "48"],
+        {"x", "density", "tail_rate", "gaussian_center", "ou_variance"},
+    ),
+    "projection": ([*SMALL_ARGS, "--elements", "48"], {"x", "density", "diagnostics"}),
+    "simulate": (
+        [*SMALL_ARGS, "--steps", "20000", "--seed", "3"],
+        {"states", "probabilities", "steps", "burn_in", "seed", "mean", "mean_se", "sd"},
+    ),
+    "limit-check": (
+        ["--n", "25,100", "--mean-los", "5.3", "--steps", "2", "--replications", "200"],
+        {"entries", "warnings"},
+    ),
+    "compare": ([*SMALL_ARGS, "--elements", "48"], {"params", "methods", "tv"}),
+}
 
 
 class TestConfigParsing:
@@ -114,6 +132,23 @@ class TestConfigParsing:
 
 
 class TestCommands:
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [(command, "json") for command in COMMAND_CASES]
+        + [(command, "csv") for command in ("exact", "formula", "projection", "simulate")],
+    )
+    def test_out_file_matches_stdout_and_json_keys(self, command, fmt, tmp_path, capsys):
+        args, keys = COMMAND_CASES[command]
+        argv = [command, *args, "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        if fmt == "json":
+            assert set(json.loads(printed)) == keys
+
     def test_exact_writes_deterministic_csv(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -246,7 +246,7 @@ class TestLimitHarness:
 
     def test_report_serializes_to_json(self):
         cfg = LimitHarnessConfig((25,), 2, 2000, 1 / 5.3, seed=2)
-        payload = json.loads(run_limit_harness(cfg).to_json())
+        payload = json.loads(json.dumps(run_limit_harness(cfg).payload()))
         assert set(payload) == {"entries", "warnings"}
         entry = payload["entries"][0]
         assert set(entry) == {"n", "ks_distance", "replications", "horizon"}
