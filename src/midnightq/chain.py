@@ -44,8 +44,6 @@ def binomial_pmf(trials: int, prob: float, first: int = 0, last: int | None = No
 
     ``last`` defaults to ``trials``.
     """
-    if trials == 0:
-        return np.ones(1)
     d = np.arange(first, (trials if last is None else last) + 1, dtype=float)
     logpmf = (
         gammaln(trials + 1.0)
@@ -124,11 +122,9 @@ def lattice_moments(states: np.ndarray, mass: np.ndarray) -> tuple[float, float]
 
 @dataclass(frozen=True, eq=False)
 class SimulatedPath:
-    """A realized midnight-count trajectory under a fixed seed."""
+    """A realized midnight-count trajectory."""
 
-    seed: int
     counts: np.ndarray
-    params: ModelParams
 
 
 def default_truncation(p: ModelParams) -> int:
@@ -486,7 +482,7 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
         counts[pos + 1 : pos + 1 + days] = block
         pos += days
 
-    return SimulatedPath(seed=seed, counts=counts, params=p)
+    return SimulatedPath(counts=counts)
 
 
 def _floor_of(*laws: tuple[int, np.ndarray]) -> int:

@@ -220,24 +220,28 @@ def counts(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-# Config-file key -> (RunConfig field, type, help).  Each key is also the
-# flag "--" + key, with "-" for "_".
+_ALL = frozenset(_COMMANDS)
+_CHAIN = {"exact", "compare"}
+_GRID = {"formula", "projection", "compare"}
+# Config-file key (flag "--" + key, "-" for "_") -> (field, type, help, commands reading it).
 _OPTIONS = {
-    "n": ("sizes", counts, "server count (limit-check: comma-separated sizes)"),
-    "lambda": ("lam", float, "daily arrival rate"),
-    "mu": ("mu", float, "daily service probability in (0,1)"),
-    "mean_los": ("mean_los", float, "mean length of stay in days"),
-    "truncation": ("truncation", int, "largest retained chain state"),
-    "grid_lo": ("grid_lo", float, "left end of the working domain"),
-    "grid_hi": ("grid_hi", float, "right end of the working domain"),
-    "elements": ("elements", int, "finite elements (default 160)"),
-    "tol": ("tol", float, "stationary-solve residual (default 1e-12)"),
-    "steps": ("steps", int, "simulation days (default 10^6) / limit-check horizon (default 10)"),
-    "replications": ("replications", int, "harness replications"),
-    "seed": ("seed", int, "PRNG seed (default 0)"),
-    "beta_star": ("beta_star", float, "limit-check: sqrt(N)(1 - load) of every size (default 1)"),
-    "out": ("out", str, "output path (default: stdout)"),
-    "format": ("fmt", str, "output format"),
+    "n": ("sizes", counts, "server count (limit-check: comma-separated sizes)", _ALL),
+    "lambda": ("lam", float, "daily arrival rate", _ALL - {"limit-check"}),
+    "mu": ("mu", float, "daily service probability in (0,1)", _ALL),
+    "mean_los": ("mean_los", float, "mean length of stay in days", _ALL),
+    "truncation": ("truncation", int, "largest retained chain state", _CHAIN),
+    "grid_lo": ("grid_lo", float, "left end of the working domain", _GRID),
+    "grid_hi": ("grid_hi", float, "right end of the working domain", _GRID),
+    "elements": ("elements", int, "finite elements (default 160)", _GRID),
+    "tol": ("tol", float, "stationary-solve residual (default 1e-12)", _CHAIN),
+    "steps": ("steps", int, "simulation days (default 10^6) / limit-check horizon (default 10)",
+              {"simulate", "limit-check"}),
+    "replications": ("replications", int, "harness replications", {"limit-check"}),
+    "seed": ("seed", int, "PRNG seed (default 0)", _ALL),
+    "beta_star": ("beta_star", float, "limit-check: sqrt(N)(1 - load) of every size (default 1)",
+                  {"limit-check"}),
+    "out": ("out", str, "output path (default: stdout)", _ALL),
+    "format": ("fmt", str, "output format", _ALL),
 }
 
 
@@ -249,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON file with defaults; flags win on conflict")
-    for key, (field, kind, text) in _OPTIONS.items():
+    for key, (field, kind, text, _) in _OPTIONS.items():
         choices = ["csv", "json"] if key == "format" else None
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=field, type=kind, choices=choices, help=text)
@@ -260,7 +264,7 @@ def build_config(argv: list[str]) -> RunConfig:
     """Merge defaults, the optional JSON config file, and explicit flags.
 
     Each config-file entry is read as its flag, placed before the command
-    line's flags, so that those win.
+    line's flags, so that those win; a flag the command does not read is refused.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -276,7 +280,12 @@ def build_config(argv: list[str]) -> RunConfig:
         entries = [f"--{key.replace('_', '-')}={value}" for key, value in file_cfg.items()]
         args = parser.parse_args(entries + argv)
 
-    given = {field: getattr(args, field) for field, _, _ in _OPTIONS.values()}
+    given = {field: getattr(args, field) for field, *_ in _OPTIONS.values()}
+    unread = [key for key, (field, *_, commands) in _OPTIONS.items()
+              if given[field] is not None and args.command not in commands]
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise ValueError(f"{args.command} does not read {flags}")
     cfg = RunConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     if args.command == "limit-check" and args.steps is None:
         cfg.steps = _LIMIT_HORIZON

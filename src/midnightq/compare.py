@@ -14,7 +14,6 @@ import numpy as np
 
 from .model import ModelParams, derive_diffusion_params
 from . import chain
-from . import diffusion
 from . import projection
 
 
@@ -81,14 +80,12 @@ def compare_methods(
     pmf = chain.stationary_pmf(kernel, tol=tol)
 
     d = derive_diffusion_params(p)
-    mu = p.daily_service_prob
-    proxy = diffusion.proxy_density(d, mu)
-    _, _, recon = projection.project_stationary_density(
-        d, mu, num_elements=elements, grid_lo=grid_lo, grid_hi=grid_hi
+    _, system, recon = projection.project_stationary_density(
+        d, p.daily_service_prob, num_elements=elements, grid_lo=grid_lo, grid_hi=grid_hi
     )
 
     edges = lattice_edges(p.n_servers, kernel.truncation_level)
-    formula_mass = proxy.bin_masses(edges)
+    formula_mass = system.reference.bin_masses(edges)
     projection_mass = recon.bin_masses(edges)
     return ComparisonReport(
         params=p,

@@ -188,9 +188,8 @@ def simulate_diffusion(
     mu: float,
     steps: int,
     seed,
-    x0: float = 0.0,
 ) -> np.ndarray:
-    """Simulate the daily diffusion path, reproducibly.
+    """Simulate the daily diffusion path from 0, reproducibly.
 
     Gaussian increments are pre-drawn in blocks; the idle-side push is
     applied sequentially since it depends on the running state, and each
@@ -205,7 +204,7 @@ def simulate_diffusion(
     keep = 1.0 - mu
 
     path = np.empty(steps + 1)
-    path[0] = x = float(x0)
+    path[0] = x = 0.0
     pos = 0
     while pos < steps:
         m = min(_BLOCK_STEPS, steps - pos)

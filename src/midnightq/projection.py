@@ -27,9 +27,8 @@ from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import ndtr
 
 from .model import DiffusionParams
-from .diffusion import TransitionKernel, proxy_density
+from .diffusion import _SQRT2PI, TransitionKernel, proxy_density
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 # Bound on |projected| below which it is taken as 0: far under the 2^-54 that
 # 1 - projected would need to differ from 1.0.
 _FAR_FIELD = 2.0**-60
@@ -192,27 +191,18 @@ def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
-    """L applied to every hat (P f - f) at the points ``x``.
+def _pf_band(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray):
+    """``(rows, band)``: P f of hat ``rows[k, j]`` at ``x[j]`` is ``band[k, j]``.
 
-    P f is evaluated only on the hats a step from x can reach.  A step of
-    mean m and sd s lands beyond m +- Z s, Z = ``_REACH_SD``, with mass
-    Phi(-Z) only, so x gets the W = min(size, ceil(2 Z s / h) + 2)
+    A step of mean m and sd s lands beyond m +- Z s, Z = ``_REACH_SD``, with
+    mass Phi(-Z) only, so x gets the W = min(size, ceil(2 Z s / h) + 2)
     consecutive hats from first = clip(floor((m - Z s - grid_lo) / h), 0,
-    size - W), whose breaks cover [m - Z s, m + Z s].  The window depends on
-    x alone.  P f of every other hat is an exact zero.  Each entry is within
-    Phi(-Z) of its value over the whole grid, and inside the window equal to
-    it bit for bit but for the window's two end rows.  P f is evaluated in
-    batches of ``_CHUNK`` points.
-
-    A point of the grid in element j is covered by hats j and j + 1 only,
-    but rounding of the node positions can leave a hat one node further
-    slightly positive at a node.  So hats j - 1 to j + 2 are subtracted, each
-    by the formula of ``FemBasis.hat_matrix``; the rest are zero there.
+    size - W), whose breaks cover [m - Z s, m + Z s]: a window of x alone.
+    P f of every other hat is taken as zero, so each value is within Phi(-Z)
+    of P f over the whole grid, and equal to it bit for bit but for the
+    window's two end rows.  P f is evaluated in batches of ``_CHUNK`` points.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     h = basis.width
-    m = basis.num_elements
     d = kernel.diffusion
     reach = _REACH_SD * math.sqrt(d.variance)
     width = min(basis.size, math.ceil(2.0 * reach / h) + 2)
@@ -224,6 +214,20 @@ def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     for start in range(0, x.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         band[:, part] = _pf_hats(basis.nodes[rows[:, part]], h, kernel, x[part])
+    return rows, band
+
+
+def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
+    """L applied to every hat (P f - f) at the points ``x``, P f from ``_pf_band``.
+
+    A point of the grid in element j is covered by hats j and j + 1 only,
+    but rounding of the node positions can leave a hat one node further
+    slightly positive at a node.  So hats j - 1 to j + 2 are subtracted, each
+    by the formula of ``FemBasis.hat_matrix``; the rest are zero there.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    h, m = basis.width, basis.num_elements
+    rows, band = _pf_band(basis, kernel, x)
     lf = np.zeros((basis.size, x.size))
     np.put_along_axis(lf, rows, band, axis=0)
     cols = np.flatnonzero((x >= basis.grid_lo) & (x <= basis.grid_hi))
@@ -419,9 +423,11 @@ class RatioReconstruction:
     def projected(self, x):
         """The projected constant function, evaluable anywhere.
 
-        Off the grid the hats vanish, so |alpha . L f(x)| is at most
-        sum |alpha_i| times the mass of the step from x that lands on the
-        grid.  Where that bound is below ``_FAR_FIELD`` the hats are not
+        sum alpha_i L f_i = P g - g for the g that interpolates alpha on the
+        nodes and vanishes off the grid: each point combines alpha over its
+        ``_pf_band`` window and subtracts g(x).  Off the grid |P g(x)| is at
+        most sum |alpha_i| times the mass of the step from x that lands on
+        the grid.  Where that bound is below ``_FAR_FIELD`` the hats are not
         evaluated and the value is 0; 1 - projected rounds to 1.0 either way.
         The other points are evaluated in batches of ``_CHUNK``, and each
         point's value depends on that point alone.
@@ -436,31 +442,24 @@ class RatioReconstruction:
         out = np.zeros(x_arr.size)
         for start in range(0, near.size, _CHUNK):
             part = near[start : start + _CHUNK]
-            lf = lf_hat_matrix(basis, kernel, x_arr[part])
-            # The all-zero rows outside the batch's band add nothing to any
-            # point's value.
-            band = np.flatnonzero(lf.any(axis=1))
-            if band.size:
-                rows = slice(band[0], band[-1] + 1)
-                out[part] = _combine_rows(self.alpha[rows], lf[rows])
+            rows, band = _pf_band(basis, kernel, x_arr[part])
+            g = np.interp(x_arr[part], basis.nodes, self.alpha, left=0.0, right=0.0)
+            out[part] = _combine_rows(self.alpha[rows], band) - g
         return out if np.ndim(x) else float(out[0])
 
     def ratio(self, x):
         """Correction factor against the reference density."""
-        out = (1.0 - np.atleast_1d(self.projected(x))) / self.norm_sq
-        return out if np.ndim(x) else float(out[0])
+        return (1.0 - self.projected(x)) / self.norm_sq
 
     def density(self, x):
         """Unclipped stationary-density estimate."""
-        out = np.atleast_1d(np.asarray(self._system.reference(x), dtype=float)) * np.atleast_1d(
-            self.ratio(x)
-        )
-        return out if np.ndim(x) else float(out[0])
+        out = np.asarray(self._system.reference(x), dtype=float) * self.ratio(x)
+        return out if np.ndim(x) else float(out)
 
     def domain_mass(self) -> tuple[float, float]:
         """(raw mass, clipped-away negative mass) over the working domain."""
         sl = slice(0, self._system.n_core)
-        q = (1.0 - _combine_rows(self.alpha, self._system.lf[:, sl])) / self.norm_sq
+        q = self.ratio(self._system.quad_x[sl])
         w = self._system.quad_w[sl]
         raw = float(w @ q)
         clipped = float(w @ np.clip(-q, 0.0, None))

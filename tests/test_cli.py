@@ -102,17 +102,45 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key", sorted(_OPTIONS))
     def test_option_key_and_flag_set_the_same_field(self, key, tmp_path):
-        field = _OPTIONS[key][0]
+        field, *_, readers = _OPTIONS[key]
+        command = next(c for c in ("exact", "formula", "simulate", "limit-check") if c in readers)
         file_value, flag_text = OPTION_VALUES[key]
         flag = "--" + key.replace("_", "-")
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({key: file_value}))
-        by_file = build_config(["exact", "--config", str(cfg_file)])
-        assert by_file == build_config(["exact", flag, str(file_value)])
-        assert getattr(by_file, field) != getattr(build_config(["exact"]), field)
-        both = build_config(["exact", "--config", str(cfg_file), flag, flag_text])
-        assert both == build_config(["exact", flag, flag_text])
+        by_file = build_config([command, "--config", str(cfg_file)])
+        assert by_file == build_config([command, flag, str(file_value)])
+        assert getattr(by_file, field) != getattr(build_config([command]), field)
+        both = build_config([command, "--config", str(cfg_file), flag, flag_text])
+        assert both == build_config([command, flag, flag_text])
         assert getattr(both, field) != getattr(by_file, field)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["exact", *SMALL_ARGS, "--elements", "5"], "--elements"),
+            (["formula", *SMALL_ARGS, "--truncation", "100"], "--truncation"),
+            (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--lambda", "3"], "--lambda"),
+            (["compare", *SMALL_ARGS, "--steps", "7"], "--steps"),
+        ],
+    )
+    def test_option_the_command_does_not_read_exit_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[0]} does not read {flag}" in captured.err
+
+    def test_config_key_the_command_does_not_read_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"grid_lo": -10, "grid_hi": 30}))
+        assert main(["exact", *SMALL_ARGS, "--config", str(cfg_file)]) == 2
+        assert "exact does not read --grid-lo, --grid-hi" in capsys.readouterr().err
+
+    def test_seed_out_and_format_are_read_by_every_command(self):
+        for command in ("exact", "formula", "projection", "simulate", "limit-check", "compare"):
+            fmt = "json" if command in ("limit-check", "compare") else "csv"
+            cfg = build_config([command, "--seed", "1", "--out", "a", "--format", fmt])
+            assert (cfg.seed, cfg.out, cfg.fmt) == (1, "a", fmt)
 
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

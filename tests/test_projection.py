@@ -24,6 +24,7 @@ from midnightq import (
     proxy_density,
     solve_gram,
 )
+from midnightq import projection
 from midnightq.cli import main
 from midnightq.compare import lattice_edges
 from midnightq.projection import (
@@ -398,7 +399,7 @@ class TestReconstruction:
         idx = int(a - edges[0])
         assert coarse[idx] == pytest.approx(oracle, abs=1e-10)
 
-    def test_far_field_skip_keeps_bin_masses_bit_for_bit(self, params_large):
+    def test_far_field_skip_keeps_bin_masses_bit_for_bit(self, params_large, monkeypatch):
         # At N = 500 about half the lattice points step onto the grid with
         # mass below 2^-60; skipping their hats must not move a single bit.
         d = derive_diffusion_params(params_large)
@@ -407,13 +408,8 @@ class TestReconstruction:
         skipped = recon.bin_masses(edges)
         far = np.array([system.basis.grid_lo - 400.0, system.basis.grid_hi + 200.0])
         assert np.array_equal(recon.projected(far), np.zeros(2))
-
-        def dense(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            lf = lf_hat_matrix(system.basis, system.kernel, x)
-            return _combine_rows(recon.alpha, lf)
-
-        recon.projected = dense
+        # The same evaluator, skipping no point.
+        monkeypatch.setattr(projection, "_FAR_FIELD", 0.0)
         assert np.array_equal(recon.bin_masses(edges), skipped)
 
     def test_point_value_does_not_depend_on_its_batch(self, params_large):
@@ -511,6 +507,20 @@ class TestHatBand:
         floor = 100.0 * np.finfo(float).eps * (abs_weighted @ abs_weighted.T)
         gap = np.abs(system.matrix - weighted @ weighted.T)
         assert np.all(gap <= band_bound(system) + floor)
+
+    def test_projected_is_p_g_minus_g(self, benchmark_system):
+        # Per point, P g - g over its own hat window must agree with the
+        # combination of every row of L f to a few roundings of its terms.
+        _, system = benchmark_system
+        basis, recon = system.basis, RatioReconstruction(system)
+        x = np.concatenate(
+            [np.linspace(basis.grid_lo - 30.0, basis.grid_hi + 30.0, 7001), basis.nodes]
+        )
+        lf = lf_hat_matrix(basis, system.kernel, x)
+        dense = _combine_rows(recon.alpha, lf)
+        terms = _combine_rows(np.abs(recon.alpha), np.abs(lf))
+        gap = np.abs(recon.projected(x) - dense)
+        assert np.all(gap <= 64 * np.finfo(float).eps * terms + 2.0**-60)
 
     def test_lf_holds_no_subnormal_entry(self, benchmark_system):
         _, system = benchmark_system
