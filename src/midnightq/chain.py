@@ -147,6 +147,17 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
+def _check_budget(needed: int, what: str, advice: str) -> None:
+    """Refuse with ValueError, naming ``what`` and ``advice``, ``needed``
+    bytes over ``_memory_budget``; called before they are allocated."""
+    available = _memory_budget()
+    if needed > available:
+        raise ValueError(
+            f"{what} {needed / 2**30:.1f} GiB, over half of physical memory "
+            f"({available / 2**30:.1f} GiB); {advice}"
+        )
+
+
 # Each tail cut from a law before a convolution holds less than this.
 _TRIM = _TAIL / 1024
 
@@ -255,14 +266,11 @@ def build_kernel(
     law = _step_law(busy, mu, arrivals)
     ku = _reaches(law)[1]
     size = k_max - lower + 1
-    needed = 8 * (2 * ku + kl + 1) * size
-    available = _memory_budget()
-    if needed > available:
-        raise ValueError(
-            f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs "
-            f"{needed / 2**30:.1f} GiB, over half of physical memory "
-            f"({available / 2**30:.1f} GiB); set a lower --truncation"
-        )
+    _check_budget(
+        8 * (2 * ku + kl + 1) * size,
+        f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs",
+        "set a lower --truncation",
+    )
 
     band = np.zeros((size, kl + ku + 1))
     # The row keeps the arrivals' far lower tail, which the trimmed window
@@ -321,7 +329,7 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if kernel.lower != 0:
         raise ValueError(f"stationary solve needs a lattice from 0, got lower cut {kernel.lower}")
@@ -625,28 +633,26 @@ def batch_means_se(samples: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(batches))
 
 
-# Memory one state of an occupation table takes: 16 bytes in its two arrays,
-# and up to 280 more while `simulate` writes its row as JSON (138 as CSV),
-# measured for 10^6 states.
-_STATE_BYTES = 512
+# Memory one row of a law's table takes: 16 bytes in its two arrays, and up
+# to 280 more while it is written as JSON (138 as CSV), measured for 10^6
+# `simulate` states (a `formula` grid point: 296 and 168 bytes).
+_ROW_BYTES = 512
 
 
 def empirical_pmf(counts: np.ndarray, burn_in: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Occupation frequencies of a path after discarding ``burn_in`` days.
 
     Refuses with ValueError, before allocating, a path whose states 0..max
-    would take over ``_memory_budget`` at ``_STATE_BYTES`` each.
+    would take over ``_memory_budget`` at ``_ROW_BYTES`` each.
     """
     tail = counts[burn_in:]
     if tail.size == 0:
         raise ValueError("burn_in leaves no samples")
     top = int(tail.max())
-    needed, available = _STATE_BYTES * (top + 1), _memory_budget()
-    if needed > available:
-        raise ValueError(
-            f"occupation frequencies of states 0..{top} need {needed / 2**30:.1f} GiB, "
-            f"over half of physical memory ({available / 2**30:.1f} GiB); "
-            "lower --steps or the load"
-        )
+    _check_budget(
+        _ROW_BYTES * (top + 1),
+        f"occupation frequencies of states 0..{top} need",
+        "lower --steps or the load",
+    )
     freq = np.bincount(tail)
     return np.arange(freq.size), freq / tail.size

@@ -124,6 +124,8 @@ def _cmd_exact(cfg: RunConfig) -> _Result:
 
 
 def _formula_grid(cfg: RunConfig, d) -> np.ndarray:
+    chain_mod._check_budget(chain_mod._ROW_BYTES * (2 * cfg.elements + 1),
+                            f"a {2 * cfg.elements + 1}-point grid needs", "set fewer --elements")
     lo, hi = proj_mod.working_domain(d, cfg.grid_lo, cfg.grid_hi)
     return np.linspace(lo, hi, 2 * cfg.elements + 1)
 
@@ -156,6 +158,9 @@ def _cmd_projection(cfg: RunConfig) -> _Result:
 
 def _cmd_simulate(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
+    # The path, and the float64 copy of it that tail.std() makes.
+    chain_mod._check_budget(16 * (cfg.steps + 1), f"a path of {cfg.steps} days needs",
+                            "lower --steps")
     if p.load >= 1.0:
         sys.stderr.write(
             f"warning: load {p.load:.6g} >= 1: the chain has no stationary law, "
@@ -297,8 +302,6 @@ def build_config(argv: list[str]) -> RunConfig:
         raise ValueError("pass either --mu or --mean-los, not both")
     if cfg.elements < 4:
         raise ValueError(f"--elements must be at least 4, got {cfg.elements}")
-    if cfg.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {cfg.tol}")
     if cfg.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {cfg.steps}")
     if cfg.replications < 1:

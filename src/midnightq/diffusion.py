@@ -53,13 +53,16 @@ class TransitionKernel:
             return pulled
         return np.where(np.asarray(x, dtype=float) >= 0.0, x, pulled)
 
+    def step_law(self, x) -> tuple[np.ndarray, float]:
+        """``(means, sd)``: the step from each state of ``x`` is Normal(means, sd^2)."""
+        d = self.diffusion
+        return np.asarray(self.step_base(x), dtype=float) + d.drift, math.sqrt(d.variance)
+
 
 def transition_density(kernel: TransitionKernel, x, y):
     """Density of tomorrow's state ``y`` given today's state ``x``."""
-    d = kernel.diffusion
-    base = kernel.step_base(x)
-    sd = math.sqrt(d.variance)
-    z = (np.asarray(y, dtype=float) - base - d.drift) / sd
+    means, sd = kernel.step_law(x)
+    z = (np.asarray(y, dtype=float) - means) / sd
     out = np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
     return out if out.ndim else float(out)
 
@@ -103,11 +106,6 @@ class PiecewiseDensity:
     gaussian_center: float
     ou_variance: float
 
-    @property
-    def _gauss_total(self) -> float:
-        # alpha_neg times the full-line Gaussian mass
-        return self.alpha_neg * _SQRT2PI * math.sqrt(self.ou_variance)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self.ou_variance)
@@ -120,7 +118,10 @@ class PiecewiseDensity:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self.ou_variance)
-        below = self._gauss_total * ndtr((np.minimum(x, 0.0) - self.gaussian_center) / sd)
+        # alpha_neg times the full-line Gaussian mass, times its cdf
+        below = (self.alpha_neg * _SQRT2PI * sd) * ndtr(
+            (np.minimum(x, 0.0) - self.gaussian_center) / sd
+        )
         above = (self.alpha_pos / self.tail_rate) * (
             1.0 - np.exp(-self.tail_rate * np.clip(x, 0.0, None))
         )
@@ -315,8 +316,13 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     the final count is centered and scaled by sqrt(N).  The limit side runs
     the same recursion driven by Gaussian increments with mean
     -mu*beta_star and variance mu + mu(1-mu).  The report carries
-    one KS distance per system size.
+    one KS distance per system size.  Refuses with ValueError, before
+    simulating, R replications whose 15 R float64 values held at once (the
+    finals, scaled, the limit paths, and ``ks_distance``'s sorted copies and
+    five arrays over its 2R grid) would take over ``chain._memory_budget``.
     """
+    chain_mod._check_budget(120 * cfg.replications, f"{cfg.replications} replications need",
+                            "lower --replications")
     mu = cfg.service_prob
     warnings: list[str] = []
     if cfg.replications < 1000:
@@ -338,12 +344,6 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
         limit = _simulate_limit_recursion(
             mu, limit_drift, limit_variance, cfg.horizon, cfg.replications, lim_seed
         )
-        entries.append(
-            LimitEntry(
-                n=n,
-                ks_distance=ks_distance(scaled, limit),
-                replications=cfg.replications,
-                horizon=cfg.horizon,
-            )
-        )
+        distance = ks_distance(scaled, limit)
+        entries.append(LimitEntry(n, distance, cfg.replications, cfg.horizon))
     return LimitReport(entries=tuple(entries), warnings=tuple(warnings))

@@ -27,17 +27,15 @@ from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import ndtr
 
 from .model import DiffusionParams
+from .chain import _check_budget
 from .diffusion import _SQRT2PI, TransitionKernel, proxy_density
 
-# Bound on |projected| below which it is taken as 0: far under the 2^-54 that
-# 1 - projected would need to differ from 1.0.
-_FAR_FIELD = 2.0**-60
 # Points per batch of hat evaluations: the (window width x points)
 # temporaries of one batch stay small enough to be reused from cache.
 _CHUNK = 512
 # Half-width, in step standard deviations, of the hats each point evaluates:
 # the step's mass beyond it is Phi(-10) = 7.6e-24.
-_REACH_SD = 10.0
+_REACH_SD = 10
 # Residual a Gram solve may leave, relative to the norm of its right-hand side.
 _REL_TOL = 1e-8
 
@@ -67,14 +65,6 @@ class FemBasis:
     @property
     def width(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
-
-    def hat_matrix(self, x) -> np.ndarray:
-        """Values of every hat at the points ``x``; shape (size, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        h = self.width
-        tent = 1.0 - np.abs(x[None, :] - self.nodes[:, None]) / h
-        inside = (x >= self.grid_lo) & (x <= self.grid_hi)
-        return np.clip(tent, 0.0, None) * inside[None, :]
 
 
 def build_basis(grid_lo: float, grid_hi: float, m: int) -> FemBasis:
@@ -156,23 +146,21 @@ def _piece_integrals(breaks: np.ndarray, means: np.ndarray, sd: float):
     return i0, i1
 
 
-def _pf_hats(t: np.ndarray, h: float, kernel: TransitionKernel, x: np.ndarray) -> np.ndarray:
-    """P applied to the hat of every breakpoint in ``t``, at the points ``x``.
+def _pf_hats(t: np.ndarray, h: float, means: np.ndarray, sd: float) -> np.ndarray:
+    """P applied to the hat of every breakpoint in ``t``, from the points
+    whose steps are Normal(``means``, ``sd``^2) (``TransitionKernel.step_law``).
 
     The hats interpolate on the pieces of ``t``, a uniform grid of width
     ``h``, and vanish outside it, so the first and last are half hats.
     ``t`` is one grid for every point, shape (n_breaks,), or one window of
-    the grid per point, shape (n_breaks, len(x)).  Returns shape
-    (n_breaks, len(x)).
+    the grid per point, shape (n_breaks, len(means)).  Returns shape
+    (n_breaks, len(means)).
     """
-    d = kernel.diffusion
-    means = np.asarray(kernel.step_base(x), dtype=float) + d.drift
-    sd = math.sqrt(d.variance)
     t = t.reshape(t.shape[0], -1)
     i0, i1 = _piece_integrals(t, means, sd)
     up = (i1 - t[:-1] * i0) / h
     down = (t[1:] * i0 - i1) / h
-    pf = np.zeros((t.shape[0], x.size))
+    pf = np.zeros((t.shape[0], means.size))
     pf[1:] += up
     pf[:-1] += down
     return pf
@@ -191,8 +179,9 @@ def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pf_band(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray):
-    """``(rows, band)``: P f of hat ``rows[k, j]`` at ``x[j]`` is ``band[k, j]``.
+def _pf_band(basis: FemBasis, means: np.ndarray, sd: float):
+    """``(rows, band)``: P f of hat ``rows[k, j]`` is ``band[k, j]`` at the
+    point x whose step is Normal(``means[j]``, ``sd``^2).
 
     A step of mean m and sd s lands beyond m +- Z s, Z = ``_REACH_SD``, with
     mass Phi(-Z) only, so x gets the W = min(size, ceil(2 Z s / h) + 2)
@@ -203,17 +192,15 @@ def _pf_band(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray):
     window's two end rows.  P f is evaluated in batches of ``_CHUNK`` points.
     """
     h = basis.width
-    d = kernel.diffusion
-    reach = _REACH_SD * math.sqrt(d.variance)
+    reach = _REACH_SD * sd
     width = min(basis.size, math.ceil(2.0 * reach / h) + 2)
-    means = np.asarray(kernel.step_base(x), dtype=float) + d.drift
     # Unlike clip, fmax sends a nan mean to a window, where P f stays nan.
     first = np.fmin(np.fmax(np.floor((means - reach - basis.grid_lo) / h), 0), basis.size - width)
     rows = first.astype(np.intp) + np.arange(width)[:, None]
-    band = np.empty((width, x.size))
-    for start in range(0, x.size, _CHUNK):
+    band = np.empty((width, means.size))
+    for start in range(0, means.size, _CHUNK):
         part = slice(start, start + _CHUNK)
-        band[:, part] = _pf_hats(basis.nodes[rows[:, part]], h, kernel, x[part])
+        band[:, part] = _pf_hats(basis.nodes[rows[:, part]], h, means[part], sd)
     return rows, band
 
 
@@ -223,11 +210,11 @@ def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     A point of the grid in element j is covered by hats j and j + 1 only,
     but rounding of the node positions can leave a hat one node further
     slightly positive at a node.  So hats j - 1 to j + 2 are subtracted, each
-    by the formula of ``FemBasis.hat_matrix``; the rest are zero there.
+    as the tent max(1 - |x - node| / h, 0); the rest are zero there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h, m = basis.width, basis.num_elements
-    rows, band = _pf_band(basis, kernel, x)
+    rows, band = _pf_band(basis, *kernel.step_law(x))
     lf = np.zeros((basis.size, x.size))
     np.put_along_axis(lf, rows, band, axis=0)
     cols = np.flatnonzero((x >= basis.grid_lo) & (x <= basis.grid_hi))
@@ -273,8 +260,7 @@ def _tail_segments(r, cut: float, step_sd: float, outward: float) -> list[tuple[
     """Segments marching away from ``cut``, one step-sd long each.
 
     Stops once the reference has shed 45 e-folds of its tail mass or after
-    ten step standard deviations, beyond which the mapped basis functions
-    are zero to double precision.
+    ``_REACH_SD`` segments, the half-width of a point's hat window.
     """
     def remaining(x: float) -> float:
         c = float(r.cdf(x))
@@ -285,7 +271,7 @@ def _tail_segments(r, cut: float, step_sd: float, outward: float) -> list[tuple[
         return []
     segments = []
     a = cut
-    for _ in range(10):
+    for _ in range(_REACH_SD):
         b = a + outward * step_sd
         segments.append((a, b))
         if remaining(b) <= math.exp(-45.0) * total:
@@ -322,7 +308,7 @@ def assemble_gram(
         )
 
     ut, wut = _gauss_legendre01(tail_order)
-    step_sd = math.sqrt(kernel.diffusion.variance)
+    step_sd = kernel.step_law(0.0)[1]  # the same from every state
     xs = [core_x]
     ws = [core_w]
     for cut, outward in ((basis.grid_lo, -1.0), (basis.grid_hi, +1.0)):
@@ -425,24 +411,22 @@ class RatioReconstruction:
 
         sum alpha_i L f_i = P g - g for the g that interpolates alpha on the
         nodes and vanishes off the grid: each point combines alpha over its
-        ``_pf_band`` window and subtracts g(x).  Off the grid |P g(x)| is at
-        most sum |alpha_i| times the mass of the step from x that lands on
-        the grid.  Where that bound is below ``_FAR_FIELD`` the hats are not
-        evaluated and the value is 0; 1 - projected rounds to 1.0 either way.
+        ``_pf_band`` window and subtracts g(x).  A point off the grid whose
+        step's reach, ``_REACH_SD`` sd about its mean, misses the grid has
+        no hat in its window and g(x) = 0, so its value is 0 unevaluated.
         The other points are evaluated in batches of ``_CHUNK``, and each
         point's value depends on that point alone.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        basis, kernel = self._system.basis, self._system.kernel
-        means = np.asarray(kernel.step_base(x_arr), dtype=float) + kernel.diffusion.drift
-        beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
-        reach = ndtr(-beyond / math.sqrt(kernel.diffusion.variance))
+        basis = self._system.basis
+        means, sd = self._system.kernel.step_law(x_arr)
         off_grid = (x_arr < basis.grid_lo) | (x_arr > basis.grid_hi)
-        near = np.flatnonzero(~off_grid | (np.abs(self.alpha).sum() * reach >= _FAR_FIELD))
+        beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
+        near = np.flatnonzero(~(off_grid & (beyond > _REACH_SD * sd)))
         out = np.zeros(x_arr.size)
         for start in range(0, near.size, _CHUNK):
             part = near[start : start + _CHUNK]
-            rows, band = _pf_band(basis, kernel, x_arr[part])
+            rows, band = _pf_band(basis, means[part], sd)
             g = np.interp(x_arr[part], basis.nodes, self.alpha, left=0.0, right=0.0)
             out[part] = _combine_rows(self.alpha[rows], band) - g
         return out if np.ndim(x) else float(out[0])
@@ -516,8 +500,15 @@ def project_stationary_density(
 ):
     """End-to-end pipeline: proxy reference, basis, assembly, solve, rebuild.
 
-    Returns (basis, system, reconstruction).
+    Returns (basis, system, reconstruction).  Refuses with ValueError,
+    before building the basis, an assembly that would take over
+    ``chain._memory_budget``: it holds L f, its weighted copy and |L f|, each
+    (m + 1) x q, and two (m + 1)^2 Gram arrays at once.
     """
+    m = num_elements
+    q = 16 * m + 2 * 24 * _REACH_SD  # assemble_gram's default quadrature nodes, at most
+    _check_budget(8 * (m + 1) * (3 * q + 2 * m + 2),
+                  f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)
     lo, hi = working_domain(d, grid_lo, grid_hi)
     basis = default_basis(d, num_elements) if grid_lo is None else build_basis(lo, hi, num_elements)

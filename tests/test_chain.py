@@ -236,6 +236,11 @@ class TestStationaryPMF:
         with pytest.raises(ValueError, match="tol"):
             stationary_pmf(kernel, tol=0.0)
 
+    def test_nan_tolerance_rejected(self, params_small):
+        kernel = build_kernel(params_small)
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            stationary_pmf(kernel, tol=math.nan)
+
     def test_matches_high_precision_solve(self, params_small):
         # Referee: the same truncated kernel, its float64 entries taken
         # exactly, solved by LU in 40-digit arithmetic.

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from midnightq import chain, projection
 from midnightq.cli import _OPTIONS, build_config, main
 
 SMALL_ARGS = ["--n", "18", "--lambda", "3.03", "--mean-los", "5.3"]
@@ -223,6 +224,46 @@ class TestCommands:
         assert main([*args, "--truncation", "1000000000"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "--truncation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, allocator",
+        [
+            (["projection", *SMALL_ARGS, "--elements", "64"], "--elements",
+             (projection, "default_basis")),
+            (["compare", *SMALL_ARGS, "--elements", "64"], "--elements",
+             (projection, "default_basis")),
+            (["simulate", *SMALL_ARGS, "--steps", "100000"], "--steps",
+             (chain, "simulate_path")),
+            (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--replications", "10000"],
+             "--replications", (chain, "simulate_replications")),
+            (["formula", *SMALL_ARGS, "--elements", "2000"], "--elements",
+             (projection, "working_domain")),
+        ],
+    )
+    def test_input_sized_arrays_over_budget_exit_2(self, argv, flag, allocator, monkeypatch,
+                                                    capsys):
+        # Under a 1 MiB budget: 2.4 MB of Gram assembly at 64 elements, a
+        # 1.6 MB path of 10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
+        # 4,001-point formula table.  Each is refused before the function
+        # that would allocate it is called.
+        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+
+        def allocating(*args, **kwargs):
+            raise AssertionError("allocated past the memory refusal")
+
+        monkeypatch.setattr(*allocator, allocating)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["exact", "compare"])
+    def test_nan_tol_exit_2(self, command, capsys):
+        assert main([command, *SMALL_ARGS, "--tol", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid configuration: tol must be positive, got nan\n"
 
     @pytest.mark.parametrize(
         "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]

@@ -30,6 +30,7 @@ from midnightq.compare import lattice_edges
 from midnightq.projection import (
     GramSystem,
     _combine_rows,
+    _pf_band,
     _pf_hats,
     _piece_integrals,
     lf_hat_matrix,
@@ -44,11 +45,18 @@ TOY = DiffusionParams(
 REACH_SD = 10.0
 
 
+def hat_matrix(basis, x):
+    """Values of every hat of ``basis`` at the points ``x``; shape (size, len(x))."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    tent = 1.0 - np.abs(x[None, :] - basis.nodes[:, None]) / basis.width
+    inside = (x >= basis.grid_lo) & (x <= basis.grid_hi)
+    return np.clip(tent, 0.0, None) * inside[None, :]
+
+
 def reach_window(basis, kernel, x):
     """(first hat, width) of the window each point of ``x`` evaluates."""
-    sd = math.sqrt(kernel.diffusion.variance)
+    means, sd = kernel.step_law(x)
     width = min(basis.size, math.ceil(2 * REACH_SD * sd / basis.width) + 2)
-    means = kernel.step_base(x) + kernel.diffusion.drift
     first = np.floor((means - REACH_SD * sd - basis.grid_lo) / basis.width)
     return np.clip(first, 0, basis.size - width), width
 
@@ -65,7 +73,22 @@ def band_bound(system):
 def dense_lf(system):
     """L f over the whole grid: P f of every hat at every quadrature node."""
     basis, x = system.basis, system.quad_x
-    return _pf_hats(basis.nodes, basis.width, system.kernel, x) - basis.hat_matrix(x)
+    return _pf_hats(basis.nodes, basis.width, *system.kernel.step_law(x)) - hat_matrix(basis, x)
+
+
+def lattice_projection(params):
+    """(system, reconstruction, lattice bin edges) of the default projection."""
+    d = derive_diffusion_params(params)
+    _, system, recon = project_stationary_density(d, params.daily_service_prob)
+    return system, recon, lattice_edges(params.n_servers, default_truncation(params))
+
+
+def unskipped_projected(recon, x):
+    """``recon.projected`` with every point evaluated through ``_pf_band``."""
+    basis, kernel, alpha = recon._system.basis, recon._system.kernel, recon.alpha
+    rows, band = _pf_band(basis, *kernel.step_law(x))
+    g = np.interp(x, basis.nodes, alpha, left=0.0, right=0.0)
+    return _combine_rows(alpha[rows], band) - g
 
 
 def small_setup(params, m=64, quad_order=16, tail_order=24):
@@ -106,13 +129,13 @@ class TestBuildBasis:
         basis = build_basis(-7, 13, 40)
         rng = np.random.default_rng(1)
         xs = rng.uniform(-7, 13, 1000)
-        total = basis.hat_matrix(xs).sum(axis=0)
+        total = hat_matrix(basis, xs).sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_hats_vanish_outside_domain(self):
         basis = build_basis(-7, 13, 40)
         outside = np.array([-7.5, 13.5, -100.0, 40.0])
-        assert np.all(basis.hat_matrix(outside) == 0.0)
+        assert np.all(hat_matrix(basis, outside) == 0.0)
 
     def test_default_basis_pins_zero(self, params_small):
         d = derive_diffusion_params(params_small)
@@ -129,7 +152,7 @@ class TestKernelOperator:
         kernel = TransitionKernel(TOY, 0.5)
         xs = np.linspace(-20, 20, 41)
         t = np.linspace(-60.0, 60.0, 241)
-        lf = _pf_hats(t, 0.5, kernel, xs).sum(axis=0) - 1.0
+        lf = _pf_hats(t, 0.5, *kernel.step_law(xs)).sum(axis=0) - 1.0
         assert np.abs(lf).max() <= 1e-12
 
     def test_hat_gaussian_overlap_matches_quadrature(self):
@@ -140,12 +163,12 @@ class TestKernelOperator:
         )
         assert err < 1e-12
         assert oracle == pytest.approx(0.3687463803725073, abs=1e-12)
-        pf = _pf_hats(np.array([-1.0, 0.0, 1.0]), 1.0, kernel, np.array([0.0]))
+        pf = _pf_hats(np.array([-1.0, 0.0, 1.0]), 1.0, *kernel.step_law(np.array([0.0])))
         assert pf[1, 0] == pytest.approx(oracle, abs=1e-13)
 
     def test_far_state_sees_no_mass(self):
         kernel = TransitionKernel(TOY, 0.5)
-        pf = _pf_hats(np.array([-1.0, 0.0, 1.0]), 1.0, kernel, np.array([-200.0, 200.0]))
+        pf = _pf_hats(np.array([-1.0, 0.0, 1.0]), 1.0, *kernel.step_law(np.array([-200.0, 200.0])))
         assert np.all(pf[1] <= 1e-9)
 
     def test_matches_hat_matrix_row_by_row(self, params_small):
@@ -159,7 +182,7 @@ class TestKernelOperator:
             nodes = basis.nodes[max(i - 1, 0) : i + 2]
             values = (nodes == basis.nodes[i]).astype(float)
             hat = np.interp(xs, nodes, values, left=0.0, right=0.0)
-            expected = values @ _pf_hats(nodes, basis.width, kernel, xs) - hat
+            expected = values @ _pf_hats(nodes, basis.width, *kernel.step_law(xs)) - hat
             assert np.abs(lf[i] - expected).max() <= 1e-13
 
     def test_one_ndtr_piece_integrals_match_two_ndtr_formula(self, params_small):
@@ -198,7 +221,7 @@ class TestKernelOperator:
                 np.linspace(t[0] - 30.0, t[-1] + 30.0, 5001),
             ]
         )
-        dense = _pf_hats(t, basis.width, kernel, xs) - basis.hat_matrix(xs)
+        dense = _pf_hats(t, basis.width, *kernel.step_law(xs)) - hat_matrix(basis, xs)
         lf = lf_hat_matrix(basis, kernel, xs)
         assert np.all(np.abs(lf - dense) <= ndtr(-REACH_SD))
         # Inside each point's window, but for its two end rows, P f is the
@@ -209,7 +232,7 @@ class TestKernelOperator:
         assert np.array_equal(lf[inner], dense[inner])
         # Outside it P f is not evaluated: only the hat itself is left.
         outside = (rows < first) | (rows >= first + width)
-        assert np.array_equal(lf[outside], -basis.hat_matrix(xs)[outside])
+        assert np.array_equal(lf[outside], -hat_matrix(basis, xs)[outside])
 
 
 class TestAssembleGram:
@@ -399,18 +422,50 @@ class TestReconstruction:
         idx = int(a - edges[0])
         assert coarse[idx] == pytest.approx(oracle, abs=1e-10)
 
-    def test_far_field_skip_keeps_bin_masses_bit_for_bit(self, params_large, monkeypatch):
-        # At N = 500 about half the lattice points step onto the grid with
-        # mass below 2^-60; skipping their hats must not move a single bit.
-        d = derive_diffusion_params(params_large)
-        _, system, recon = project_stationary_density(d, params_large.daily_service_prob)
-        edges = lattice_edges(params_large.n_servers, default_truncation(params_large))
-        skipped = recon.bin_masses(edges)
-        far = np.array([system.basis.grid_lo - 400.0, system.basis.grid_hi + 200.0])
-        assert np.array_equal(recon.projected(far), np.zeros(2))
-        # The same evaluator, skipping no point.
-        monkeypatch.setattr(projection, "_FAR_FIELD", 0.0)
-        assert np.array_equal(recon.bin_masses(edges), skipped)
+    def test_far_field_skip_keeps_bin_masses_bit_for_bit(self, request, monkeypatch):
+        # Thousands of lattice points step beyond the grid's reach; skipping
+        # them must not move a single bit of the bin masses.
+        for name in ("params_small", "params_medium", "params_large"):
+            params = request.getfixturevalue(name)
+            system, recon, edges = lattice_projection(params)
+            skipped = recon.bin_masses(edges)
+            far = np.array([system.basis.grid_lo - 400.0, system.basis.grid_hi + 200.0])
+            assert np.array_equal(recon.projected(far), np.zeros(2))
+            with monkeypatch.context() as patch:
+                patch.setattr(recon, "projected", lambda x: unskipped_projected(recon, x))
+                assert np.array_equal(recon.bin_masses(edges), skipped), name
+
+    def test_skipped_points_step_beyond_reach_of_the_grid(self, request, monkeypatch):
+        # Record the step means that reach _pf_band from bin_masses: every
+        # other point must be off the grid, its 10-sd reach must miss the
+        # grid, and its value, evaluated anyway, must be below 2^-60.
+        for name in ("params_small", "params_medium", "params_large"):
+            params = request.getfixturevalue(name)
+            system, recon, edges = lattice_projection(params)
+            points, evaluated = [], []
+            evaluate = recon.density
+
+            def recording(x):
+                points.append(np.array(x))
+                return evaluate(x)
+
+            def recording_band(basis, means, sd):
+                evaluated.append(np.array(means))
+                return _pf_band(basis, means, sd)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(recon, "density", recording)
+                patch.setattr(projection, "_pf_band", recording_band)
+                recon.bin_masses(edges)
+            (x,) = points
+            means, sd = system.kernel.step_law(x)
+            skipped = ~np.isin(means, np.concatenate(evaluated))
+            assert skipped.sum() > 1000, name
+            lo, hi = system.basis.grid_lo, system.basis.grid_hi
+            assert np.all((x[skipped] < lo) | (x[skipped] > hi))
+            reach = REACH_SD * sd
+            assert np.all((means[skipped] + reach < lo) | (means[skipped] - reach > hi))
+            assert np.all(np.abs(unskipped_projected(recon, x[skipped])) < 2.0**-60)
 
     def test_point_value_does_not_depend_on_its_batch(self, params_large):
         # x near 51.518 at N = 500: its value alone, inside the 14,048-point
@@ -463,7 +518,7 @@ class TestReconstruction:
             worst = 0.0
             for nodes in held_out:
                 g = np.interp(span, nodes, [0.0, 1.0, 0.0], left=0.0, right=0.0)
-                lg = _pf_hats(nodes, 1.7, kernel, span)[1] - g
+                lg = _pf_hats(nodes, 1.7, *kernel.step_law(span))[1] - g
                 worst = max(worst, abs(float(np.trapezoid(lg * qr, span))))
             return worst
 
