@@ -158,6 +158,8 @@ def _cmd_projection(cfg: RunConfig) -> _Result:
 
 def _cmd_simulate(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
+    if cfg.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {cfg.steps}")
     # The path, and the float64 copy of it that tail.std() makes.
     chain_mod._check_budget(16 * (cfg.steps + 1), f"a path of {cfg.steps} days needs",
                             "lower --steps")
@@ -302,10 +304,6 @@ def build_config(argv: list[str]) -> RunConfig:
         raise ValueError("pass either --mu or --mean-los, not both")
     if cfg.elements < 4:
         raise ValueError(f"--elements must be at least 4, got {cfg.elements}")
-    if cfg.steps < 0:
-        raise ValueError(f"--steps must be nonnegative, got {cfg.steps}")
-    if cfg.replications < 1:
-        raise ValueError(f"--replications must be positive, got {cfg.replications}")
     return cfg
 
 

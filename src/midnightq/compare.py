@@ -75,14 +75,17 @@ def compare_methods(
     grid_lo: float | None = None,
     grid_hi: float | None = None,
 ) -> ComparisonReport:
-    """Run all three solvers and align them on the integer lattice."""
-    kernel = chain.build_kernel(p, truncation)
-    pmf = chain.stationary_pmf(kernel, tol=tol)
+    """Run all three solvers and align them on the integer lattice.
 
+    The projection runs first: it refuses an over-budget ``elements`` before
+    the exact chain is built and solved.
+    """
     d = derive_diffusion_params(p)
     _, system, recon = projection.project_stationary_density(
         d, p.daily_service_prob, num_elements=elements, grid_lo=grid_lo, grid_hi=grid_hi
     )
+    kernel = chain.build_kernel(p, truncation)
+    pmf = chain.stationary_pmf(kernel, tol=tol)
 
     edges = lattice_edges(p.n_servers, kernel.truncation_level)
     formula_mass = system.reference.bin_masses(edges)

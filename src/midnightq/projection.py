@@ -30,8 +30,8 @@ from .model import DiffusionParams
 from .chain import _check_budget
 from .diffusion import _SQRT2PI, TransitionKernel, proxy_density
 
-# Points per batch of hat evaluations: the (window width x points)
-# temporaries of one batch stay small enough to be reused from cache.
+# Points per batch of hat evaluations: the kernel's (window width x points)
+# work arrays stay small enough to be reused from cache.
 _CHUNK = 512
 # Half-width, in step standard deviations, of the hats each point evaluates:
 # the step's mass beyond it is Phi(-10) = 7.6e-24.
@@ -120,49 +120,92 @@ def default_basis(d: DiffusionParams, m: int) -> FemBasis:
     return build_basis(lo, lo + m * h, m)
 
 
-def _piece_integrals(breaks: np.ndarray, means: np.ndarray, sd: float):
-    """Gaussian moments over each interval of ``breaks``, per mean.
+def _pf_windows(nodes: np.ndarray, h: float, means: np.ndarray, sd: float, first: np.ndarray,
+                width: int):
+    """P f of a window of hats at each point, one batch of ``_CHUNK`` points at a time.
 
-    ``breaks`` is one column of breakpoints shared by every mean, shape
-    (n_breaks,), or one column per mean, shape (n_breaks, n_means).
-    Returns (I0, I1) of shape (n_breaks - 1, n_means): the Gaussian mass and
-    first moment of Normal(mean, sd^2) restricted to each piece.  Uses the
-    survival function on the right half so far-tail masses keep relative
-    precision.  One ndtr per break and mean: the smaller tail ndtr(-|z|) is
-    the cdf left of the mean and the survival function right of it, and the
-    other one is its complement.  For |z| >= 1 that complement is exactly
-    ndtr's own value.
+    The hats interpolate on the pieces of ``nodes``, a uniform grid of
+    width ``h``, and vanish outside it, so the first and last are half hats.
+    The point whose step is Normal(``means[j]``, ``sd``^2)
+    (``TransitionKernel.step_law``) gets the ``width`` hats from
+    ``first[j]``.  Yields ``(part, rows, pf)`` per batch: P f of hat
+    ``rows[k, j]`` is ``pf[k, j]`` at the point ``means[part][j]``.  ``rows``
+    and ``pf`` are views of buffers made once per call, which the next
+    batch overwrites.
+
+    P f of a hat sums the Gaussian mass I0 and first moment I1 of each of
+    its two pieces.  The smaller tail ndtr(-|z|) of each break is the cdf
+    left of the mean and the survival function right of it, so a piece on
+    one side of the mean has I0 = |tail_a - tail_b|, the difference of its
+    smaller tails, exact to the last bit as fl(a - b) = -fl(b - a) and
+    precise in the far tails.  On the piece that holds the mean, I0 is one
+    minus both tails, the larger one subtracted first.
     """
-    z = (breaks.reshape(breaks.shape[0], -1) - means) / sd
-    tail = ndtr(-np.abs(z))
-    rest = 1.0 - tail
-    right = z > 0.0
-    cdf = np.where(right, rest, tail)
-    sf = np.where(right, tail, rest)
-    pdf = np.exp(-0.5 * z * z) / _SQRT2PI
-    use_sf = (z[:-1] + z[1:]) > 0.0
-    i0 = np.where(use_sf, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
-    i1 = means * i0 + sd * (pdf[:-1] - pdf[1:])
-    return i0, i1
+    n = means.size
+    batch = min(n, _CHUNK)
+    rows_buf = np.empty(width * batch, dtype=np.intp)
+    t_buf, z_buf, tail_buf = (np.empty(width * batch) for _ in range(3))
+    i0_buf = np.empty((width - 1) * batch)
+    offsets = np.arange(width)[:, None]
+    # Piece of each window whose left break is the last at or left of the
+    # mean (z <= 0 there, z > 0 right of it); outside 0..width-2 none is.
+    straddle = np.searchsorted(nodes, means, side="right") - 1 - first
+    for start in range(0, n, _CHUNK):
+        part = slice(start, min(start + _CHUNK, n))
+        b = part.stop - start
+        mean = means[part]
+        # Contiguous (width, b) views, laid out as fresh arrays: a short
+        # batch runs the same numpy loops, so each value keeps its bits.
+        rows, t, z, tail = (buf[: width * b].reshape(width, b)
+                            for buf in (rows_buf, t_buf, z_buf, tail_buf))
+        i0 = i0_buf[: (width - 1) * b].reshape(width - 1, b)
+        np.add(offsets, first[part], out=rows)
+        np.take(nodes, rows, out=t)
+        np.subtract(t, mean, out=z)
+        z /= sd
+        np.abs(z, out=tail)
+        np.negative(tail, out=tail)
+        ndtr(tail, out=tail)
+        np.subtract(tail[:-1], tail[1:], out=i0)
+        np.abs(i0, out=i0)
+        k = straddle[part]
+        col = np.flatnonzero((k >= 0) & (k < width - 1))
+        k = k[col]
+        ta, tb = tail[k, col], tail[k + 1, col]
+        i0[k, col] = np.where(z[k, col] + z[k + 1, col] > 0.0, (1.0 - ta) - tb, (1.0 - tb) - ta)
+        pdf = tail
+        np.multiply(z, -0.5, out=pdf)
+        pdf *= z
+        np.exp(pdf, out=pdf)
+        pdf /= _SQRT2PI
+        # I1 = mean I0 + sd (pdf_a - pdf_b) in z's first rows; then the
+        # rising half of each piece's hats in pdf's and the falling half in i0.
+        i1, up, down = z[:-1], pdf[:-1], i0
+        np.subtract(pdf[:-1], pdf[1:], out=i1)
+        i1 *= sd
+        np.multiply(mean, i0, out=up)
+        i1 += up
+        np.multiply(t[:-1], i0, out=up)
+        np.subtract(i1, up, out=up)
+        up /= h
+        np.multiply(t[1:], i0, out=down)
+        np.subtract(down, i1, out=down)
+        down /= h
+        # Each end row is 0.0 plus its one half, so it holds no -0.0.
+        pf = z
+        np.add(down[0], 0.0, out=pf[0])
+        np.add(up[:-1], down[1:], out=pf[1:-1])
+        np.add(up[-1], 0.0, out=pf[-1])
+        yield part, rows, pf
 
 
 def _pf_hats(t: np.ndarray, h: float, means: np.ndarray, sd: float) -> np.ndarray:
-    """P applied to the hat of every breakpoint in ``t``, from the points
-    whose steps are Normal(``means``, ``sd``^2) (``TransitionKernel.step_law``).
-
-    The hats interpolate on the pieces of ``t``, a uniform grid of width
-    ``h``, and vanish outside it, so the first and last are half hats.
-    ``t`` is one grid for every point, shape (n_breaks,), or one window of
-    the grid per point, shape (n_breaks, len(means)).  Returns shape
-    (n_breaks, len(means)).
+    """P f of the hat of every breakpoint in ``t``, a uniform grid of width
+    ``h``, from every point of ``means``; shape (len(t), len(means)).
     """
-    t = t.reshape(t.shape[0], -1)
-    i0, i1 = _piece_integrals(t, means, sd)
-    up = (i1 - t[:-1] * i0) / h
-    down = (t[1:] * i0 - i1) / h
-    pf = np.zeros((t.shape[0], means.size))
-    pf[1:] += up
-    pf[:-1] += down
+    pf = np.empty((t.size, means.size))
+    for part, _, band in _pf_windows(t, h, means, sd, np.zeros(means.size, np.intp), t.size):
+        pf[:, part] = band
     return pf
 
 
@@ -180,8 +223,8 @@ def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _pf_band(basis: FemBasis, means: np.ndarray, sd: float):
-    """``(rows, band)``: P f of hat ``rows[k, j]`` is ``band[k, j]`` at the
-    point x whose step is Normal(``means[j]``, ``sd``^2).
+    """``_pf_windows`` of the hats of ``basis`` near each point, whose step
+    is Normal(``means[j]``, ``sd``^2).
 
     A step of mean m and sd s lands beyond m +- Z s, Z = ``_REACH_SD``, with
     mass Phi(-Z) only, so x gets the W = min(size, ceil(2 Z s / h) + 2)
@@ -189,19 +232,14 @@ def _pf_band(basis: FemBasis, means: np.ndarray, sd: float):
     size - W), whose breaks cover [m - Z s, m + Z s]: a window of x alone.
     P f of every other hat is taken as zero, so each value is within Phi(-Z)
     of P f over the whole grid, and equal to it bit for bit but for the
-    window's two end rows.  P f is evaluated in batches of ``_CHUNK`` points.
+    window's two end rows.
     """
     h = basis.width
     reach = _REACH_SD * sd
     width = min(basis.size, math.ceil(2.0 * reach / h) + 2)
     # Unlike clip, fmax sends a nan mean to a window, where P f stays nan.
     first = np.fmin(np.fmax(np.floor((means - reach - basis.grid_lo) / h), 0), basis.size - width)
-    rows = first.astype(np.intp) + np.arange(width)[:, None]
-    band = np.empty((width, means.size))
-    for start in range(0, means.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        band[:, part] = _pf_hats(basis.nodes[rows[:, part]], h, means[part], sd)
-    return rows, band
+    return _pf_windows(basis.nodes, h, means, sd, first.astype(np.intp), width)
 
 
 def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
@@ -214,9 +252,9 @@ def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h, m = basis.width, basis.num_elements
-    rows, band = _pf_band(basis, *kernel.step_law(x))
     lf = np.zeros((basis.size, x.size))
-    np.put_along_axis(lf, rows, band, axis=0)
+    for part, rows, pf in _pf_band(basis, *kernel.step_law(x)):
+        lf[rows, np.arange(part.start, part.stop)] = pf
     cols = np.flatnonzero((x >= basis.grid_lo) & (x <= basis.grid_hi))
     element = np.clip(np.floor((x[cols] - basis.grid_lo) / h).astype(np.intp), 0, m - 1)
     for offset in (-1, 0, 1, 2):
@@ -342,7 +380,8 @@ def assemble_gram(
         lf=lf,
         e_mass=float(quad_w.sum()),
         n_core=core_x.size,
-        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf).T, quad_w, trans=1))),
+        # |L f| takes the memory of the weighted copy, which dsyrk has read.
+        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=weighted).T, quad_w, trans=1))),
     )
 
 
@@ -424,11 +463,10 @@ class RatioReconstruction:
         beyond = np.maximum(basis.grid_lo - means, means - basis.grid_hi)
         near = np.flatnonzero(~(off_grid & (beyond > _REACH_SD * sd)))
         out = np.zeros(x_arr.size)
-        for start in range(0, near.size, _CHUNK):
-            part = near[start : start + _CHUNK]
-            rows, band = _pf_band(basis, means[part], sd)
-            g = np.interp(x_arr[part], basis.nodes, self.alpha, left=0.0, right=0.0)
-            out[part] = _combine_rows(self.alpha[rows], band) - g
+        for part, rows, pf in _pf_band(basis, means[near], sd):
+            point = near[part]
+            g = np.interp(x_arr[point], basis.nodes, self.alpha, left=0.0, right=0.0)
+            out[point] = _combine_rows(self.alpha[rows], pf) - g
         return out if np.ndim(x) else float(out[0])
 
     def ratio(self, x):
@@ -502,12 +540,12 @@ def project_stationary_density(
 
     Returns (basis, system, reconstruction).  Refuses with ValueError,
     before building the basis, an assembly that would take over
-    ``chain._memory_budget``: it holds L f, its weighted copy and |L f|, each
-    (m + 1) x q, and two (m + 1)^2 Gram arrays at once.
+    ``chain._memory_budget``: it holds L f and its weighted copy, which then
+    takes |L f|, each (m + 1) x q, and two (m + 1)^2 Gram arrays at once.
     """
     m = num_elements
     q = 16 * m + 2 * 24 * _REACH_SD  # assemble_gram's default quadrature nodes, at most
-    _check_budget(8 * (m + 1) * (3 * q + 2 * m + 2),
+    _check_budget(8 * (m + 1) * (2 * q + 2 * m + 2),
                   f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)
     lo, hi = working_domain(d, grid_lo, grid_hi)

@@ -242,7 +242,7 @@ class TestCommands:
     )
     def test_input_sized_arrays_over_budget_exit_2(self, argv, flag, allocator, monkeypatch,
                                                     capsys):
-        # Under a 1 MiB budget: 2.4 MB of Gram assembly at 64 elements, a
+        # Under a 1 MiB budget: 1.6 MB of Gram assembly at 64 elements, a
         # 1.6 MB path of 10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
         # 4,001-point formula table.  Each is refused before the function
         # that would allocate it is called.
@@ -264,6 +264,31 @@ class TestCommands:
         assert main([command, *SMALL_ARGS, "--tol", "nan"]) == 2
         err = capsys.readouterr().err
         assert err == "invalid configuration: tol must be positive, got nan\n"
+
+    def test_refused_compare_elements_never_solves_the_chain(self, monkeypatch, capsys):
+        def solving(*args, **kwargs):
+            raise AssertionError("solved the exact chain before refusing --elements")
+
+        monkeypatch.setattr(chain, "stationary_pmf", solving)
+        assert main(["compare", *SMALL_ARGS, "--elements", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and "--elements" in err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_simulate_without_days_names_steps(self, steps, capsys):
+        assert main(["simulate", *SMALL_ARGS, "--steps", steps]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: --steps must be at least 1, got {steps}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--steps", "-1", "horizon must be >= 0, got -1"),
+         ("--replications", "0", "replications must be >= 1, got 0")],
+    )
+    def test_limit_check_bounds_exit_2(self, flag, value, message, capsys):
+        args = ["limit-check", "--n", "25,100", "--mean-los", "5.3", flag, value]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
 
     @pytest.mark.parametrize(
         "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -32,7 +33,6 @@ from midnightq.projection import (
     _combine_rows,
     _pf_band,
     _pf_hats,
-    _piece_integrals,
     lf_hat_matrix,
 )
 
@@ -86,9 +86,44 @@ def lattice_projection(params):
 def unskipped_projected(recon, x):
     """``recon.projected`` with every point evaluated through ``_pf_band``."""
     basis, kernel, alpha = recon._system.basis, recon._system.kernel, recon.alpha
-    rows, band = _pf_band(basis, *kernel.step_law(x))
     g = np.interp(x, basis.nodes, alpha, left=0.0, right=0.0)
-    return _combine_rows(alpha[rows], band) - g
+    out = np.empty(x.size)
+    for part, rows, pf in _pf_band(basis, *kernel.step_law(x)):
+        out[part] = _combine_rows(alpha[rows], pf) - g[part]
+    return out
+
+
+def _piece_integrals(breaks, means, sd):
+    """Reference (I0, I1) per piece of ``breaks`` and mean, in the form the
+    fused kernel replaced: the cdf left of the mean and the survival function
+    right of it, each built from the one tail ndtr(-|z|)."""
+    z = (breaks.reshape(breaks.shape[0], -1) - means) / sd
+    tail = ndtr(-np.abs(z))
+    rest = 1.0 - tail
+    right = z > 0.0
+    cdf = np.where(right, rest, tail)
+    sf = np.where(right, tail, rest)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    use_sf = (z[:-1] + z[1:]) > 0.0
+    i0 = np.where(use_sf, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
+    i1 = means * i0 + sd * (pdf[:-1] - pdf[1:])
+    return i0, i1
+
+
+def reference_pf_hats(t, h, means, sd):
+    """P f of every hat on the breaks ``t`` (shape (n_breaks,) or one column
+    per mean) from the reference piece integrals; shape (n_breaks, len(means))."""
+    t = t.reshape(t.shape[0], -1)
+    i0, i1 = _piece_integrals(t, means, sd)
+    pf = np.zeros((t.shape[0], means.size))
+    pf[1:] += (i1 - t[:-1] * i0) / h
+    pf[:-1] += (t[1:] * i0 - i1) / h
+    return pf
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (signed zeros and nans included)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def small_setup(params, m=64, quad_order=16, tail_order=24):
@@ -235,7 +270,95 @@ class TestKernelOperator:
         assert np.array_equal(lf[outside], -hat_matrix(basis, xs)[outside])
 
 
+# How many of the first step means of ``kernel_means`` are special ones.
+SPECIAL_MEANS = 11
+
+
+def kernel_means(t, sd):
+    """513 step means for the breaks ``t``, the special ones first: on a
+    node (z = 0 at a break), an ulp to each side of one, left and right of
+    every window, nan; then a spread over the grid and past it."""
+    specials = np.array([
+        t[7], 0.0, t[0], t[-1], np.nextafter(t[7], -np.inf), np.nextafter(t[7], np.inf),
+        t[0] - 12.0 * sd, t[-1] + 12.0 * sd, t[0] - 1000.0, math.nan, 0.5 * (t[3] + t[4]),
+    ])
+    spread = np.linspace(t[0] - 15.0 * sd, t[-1] + 15.0 * sd, 513 - SPECIAL_MEANS)
+    return np.concatenate([specials, spread])
+
+
+class TestFusedKernel:
+    """The batched kernel against the reference piece integrals, bit for bit."""
+
+    @pytest.fixture
+    def grid(self, params_small):
+        d = derive_diffusion_params(params_small)
+        basis = default_basis(d, 160)
+        assert 0.0 in basis.nodes
+        return basis, math.sqrt(d.variance)
+
+    @staticmethod
+    def batches(basis, sd, count):
+        means = kernel_means(basis.nodes, sd)
+        if count > 1:
+            return [means[:count]]
+        # One point alone, each special mean in turn.
+        return [means[i : i + 1] for i in range(SPECIAL_MEANS)]
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 513])
+    def test_shared_breaks_match_reference(self, grid, count):
+        basis, sd = grid
+        t, h = basis.nodes, basis.width
+        for means in self.batches(basis, sd, count):
+            assert same_bits(_pf_hats(t, h, means, sd), reference_pf_hats(t, h, means, sd))
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 513])
+    def test_windows_match_reference(self, grid, count):
+        basis, sd = grid
+        for means in self.batches(basis, sd, count):
+            first = np.fmax(np.floor((means - REACH_SD * sd - basis.grid_lo) / basis.width), 0)
+            seen = 0
+            for part, rows, pf in _pf_band(basis, means, sd):
+                assert part.start == seen and part.stop - part.start <= 512
+                seen = part.stop
+                width = rows.shape[0]
+                lowest = np.fmin(first[part], basis.size - width)
+                assert np.array_equal(rows, lowest + np.arange(width)[:, None])
+                reference = reference_pf_hats(basis.nodes[rows], basis.width, means[part], sd)
+                assert same_bits(pf, reference)
+            assert seen == means.size
+
+    def test_special_means_take_both_straddle_branches(self, grid):
+        # The piece that holds the mean takes (1 - tail_a) - tail_b when
+        # z_a + z_b > 0 and (1 - tail_b) - tail_a otherwise: both occur.
+        basis, sd = grid
+        t = basis.nodes
+        means = kernel_means(t, sd)
+        k = np.searchsorted(t, means, side="right") - 1
+        inside = np.flatnonzero((k >= 0) & (k < t.size - 1))
+        za = (t[k[inside]] - means[inside]) / sd
+        zb = (t[k[inside] + 1] - means[inside]) / sd
+        assert np.any(za == 0.0)
+        assert np.any(za + zb > 0.0) and np.any(za + zb <= 0.0)
+        assert np.any(k < 0) and np.any(k >= t.size - 1) and np.isnan(means).any()
+
+
 class TestAssembleGram:
+    @pytest.mark.parametrize("name", ["params_small", "params_large"])
+    def test_peak_memory_is_lf_and_its_weighted_copy(self, request, name):
+        # L f, its weighted copy (which then takes |L f|), the Gram arrays
+        # and one batch of kernel work arrays, at most.
+        params = request.getfixturevalue(name)
+        d = derive_diffusion_params(params)
+        mu = params.daily_service_prob
+        basis, kernel, r = default_basis(d, 160), TransitionKernel(d, mu), proxy_density(d, mu)
+        tracemalloc.start()
+        try:
+            system = assemble_gram(basis, kernel, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * system.lf.nbytes
+
     def test_matrix_symmetric_and_psd(self, params_small):
         *_, system = small_setup(params_small)
         a = system.matrix
