@@ -20,10 +20,10 @@ from .chain import (
     SimulatedPath,
     StationaryPMF,
     build_kernel,
-    default_truncation,
     simulate_path,
     simulate_replications,
     stationary_pmf,
+    stationary_window,
     transient_pmf,
 )
 from .diffusion import (

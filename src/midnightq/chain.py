@@ -3,11 +3,11 @@
 One day of the queue moves the count ``x`` to ``x - D + A`` where
 ``D ~ Binomial(min(x, N), mu)`` are the departures resolved at midnight and
 ``A ~ Poisson(lam)`` are the arrivals accumulated during the day.  The chain
-is truncated to a window of states [L, K], L = 0 unless given; any
-probability mass that would land above K or below L is folded into that
-end state so every row stays stochastic.  A day's step A - D leaves a fixed
-band of offsets only with probability below 2^-60, so the kernel is stored
-and factored as that band.
+is truncated to a window of states [L, K], from ``stationary_window`` or
+``_transient_window``; any probability mass that would land above K or below
+L is folded into that end state so every row stays stochastic.  A day's step
+A - D leaves a fixed band of offsets only with probability below 2^-60, so
+the kernel is stored and factored as that band.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import gammaln
 
-from .model import ModelParams, UnstableRegimeError, derive_diffusion_params
+from .model import ModelParams, UnstableRegimeError
 
 
 class ConvergenceError(RuntimeError):
@@ -127,21 +127,6 @@ class SimulatedPath:
     counts: np.ndarray
 
 
-def default_truncation(p: ModelParams) -> int:
-    """Top state high enough that the folded tail is numerically invisible.
-
-    Covers ten one-day standard deviations above the server count and, in
-    the stable regime, enough exponential tail e-folds that doubling the
-    truncation moves the stationary law by well under 1e-10 in total
-    variation.
-    """
-    d = derive_diffusion_params(p)
-    spread = 10.0 * math.sqrt(d.variance)
-    if d.tail_rate > 0.0:
-        spread = max(spread, 45.0 / d.tail_rate)
-    return p.n_servers + math.ceil(spread)
-
-
 def _memory_budget() -> int:
     """Bytes an array may take before it is refused: half of physical memory."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
@@ -234,28 +219,24 @@ def build_kernel(
 ) -> ChainKernel:
     """Build the one-day transition band on {lower, ..., truncation}.
 
-    Row ``lower`` is its departures Binomial(min(lower, N), mu) convolved
-    with the arrivals Poisson(lam), plus the ``lower - N`` waiting when
-    lower > N; for lower = 0 that is Poisson(lam) alone.  One more customer
+    ``truncation`` defaults to the K of ``stationary_window``.  Row ``lower``
+    is its departures Binomial(min(lower, N), mu) convolved with the
+    arrivals Poisson(lam), plus the ``lower - N`` waiting when lower > N;
+    for lower = 0 that is Poisson(lam) alone.  One more customer
     in service adds a survivor with probability 1 - mu, so row x + 1 is
     ``mu * row_x[y] + (1 - mu) * row_x[y - 1]``, a sum of positive terms.
     Rows x >= N shift the saturated row N.  Mass beyond the top state is
     folded into it, and mass below ``lower`` into ``lower``.  The up reach
     ``ku`` is that of row ``lower``, which bounds the rows above it.
 
-    A lattice that starts at 0 must reach the server count.  Refuses with
-    ValueError, before allocating, a window whose banded LU storage,
-    ``8 (2 ku + kl + 1) (K - lower + 1)`` bytes, would take over half of
-    physical memory.
+    Refuses with ValueError, before allocating, a window whose banded LU
+    storage, ``8 (2 ku + kl + 1) (K - lower + 1)`` bytes, would take over
+    half of physical memory.
     """
     if truncation is None:
-        truncation = default_truncation(p)
+        truncation = stationary_window(p)[1]
     n = p.n_servers
     k_max, lower = int(truncation), int(lower)
-    if lower == 0 and k_max < n:
-        raise ValueError(
-            f"truncation below server count ({k_max} < {n})"
-        )
     if not 0 <= lower <= k_max:
         raise ValueError(f"lower cut {lower} outside 0..{k_max}")
     lam = p.daily_arrival_rate
@@ -318,32 +299,24 @@ def _lapack_check(routine: str, info: int) -> None:
 
 
 def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
-    """Solve pi = pi P on the truncated lattice.
+    """Solve pi = pi P on the kernel's window [L, K]; the law is on 0..K,
+    zero below L.
 
     One banded LU solve of P^T - I with the balance equation of the state
-    x = lam / mu, which carries high mass, replaced by pi_x = 1, then one
-    step of iterative refinement with the same factor, then normalization.
-    Raises ValueError for a kernel whose lattice does not start at 0,
-    UnstableRegimeError at load >= 1, where the untruncated chain
-    has no stationary law, and ConvergenceError (carrying the residual) if
+    x = lam / mu (held to the window), which carries high mass, replaced by
+    pi_x = 1, then one step of iterative refinement with the same factor,
+    then normalization.  Raises ConvergenceError (carrying the residual) if
     the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if kernel.lower != 0:
-        raise ValueError(f"stationary solve needs a lattice from 0, got lower cut {kernel.lower}")
-    p = kernel.params
-    if p.load >= 1.0:
-        raise UnstableRegimeError(
-            f"chain not positive recurrent at load {p.load:.6g} >= 1: "
-            "no stationary law"
-        )
     band, kl, ku = kernel.band, kernel.kl, kernel.ku
     if not np.isfinite(band).all():
         raise ConvergenceError("kernel holds non-finite entries", residual=math.nan)
-    size = kernel.truncation_level + 1
-    pin = min(int(p.daily_arrival_rate / p.daily_service_prob), size - 1)
+    p, lower, top = kernel.params, kernel.lower, kernel.truncation_level
+    size = band.shape[0]
+    pin = min(max(int(p.daily_arrival_rate / p.daily_service_prob), lower), top) - lower
     # LAPACK band storage of P^T - I, column-major: column x holds row x of P
     # below ku rows of room for the pivoting fill-in.
     system = np.zeros((size, 2 * ku + kl + 1))
@@ -381,7 +354,8 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
             f"stationary solve did not reach tol={tol:g}; residual={residual:.3e}",
             residual=residual,
         )
-    return StationaryPMF(support=kernel.states, mass=pi, params=p, residual=residual)
+    mass = np.concatenate([np.zeros(lower), pi])
+    return StationaryPMF(support=np.arange(top + 1), mass=mass, params=p, residual=residual)
 
 
 # Days are drawn in blocks of fixed size, one uniform each, so a path is a
@@ -507,22 +481,54 @@ def _floor_of(*laws: tuple[int, np.ndarray]) -> int:
     return offset + _tails(law, _TAIL - 2 * len(laws) * _TRIM)[0]
 
 
+def _saturated_cgf(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, c(t))``: the cgf of a saturated step Poisson(lam) - Binomial(N, mu), on t > 0."""
+    lam, mu = p.daily_arrival_rate, p.daily_service_prob
+    t = np.geomspace(1e-6, 20.0, 512)
+    return t, lam * np.expm1(t) + p.n_servers * np.log1p(mu * np.expm1(-t))
+
+
 def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
     """Least r with P(S_k > r) <= ``level`` for every k <= ``days``.
 
-    S_k is the sum of k independent saturated steps, each Poisson(lam)
-    minus Binomial(N, mu).  Chernoff: P(S_k >= r) <= exp(k c(t) - t r) for
-    every t > 0, c the steps' cumulant generating function; the bound is
-    taken at the best t of a fixed grid.
+    Chernoff, S_k the sum of k saturated steps: P(S_k >= r) <= exp(k c(t) -
+    t r) for every t > 0, taken at the best t of ``_saturated_cgf``'s grid.
     """
-    lam, mu = p.daily_arrival_rate, p.daily_service_prob
-    t = np.geomspace(1e-6, 20.0, 512)
-    cgf = lam * np.expm1(t) + p.n_servers * np.log1p(mu * np.expm1(-t))
+    t, cgf = _saturated_cgf(p)
     rise = -math.inf
     for first in range(1, days + 1, 4096):
         k = np.arange(first, min(first + 4096, days + 1))[:, None]
         rise = max(rise, float(((k * cgf - math.log(level)) / t).min(axis=1).max()))
     return math.ceil(rise)
+
+
+def stationary_window(p: ModelParams) -> tuple[int, int]:
+    """States [L, K] that the stationary count leaves, below or above, with
+    probability at most ``_TAIL``: ``_transient_window``'s couplings as the
+    horizon grows.  Its floor becomes Poisson(lam / mu), and L is that law's
+    ``_floor_of``.  Its walk becomes the supremum of the sums S_k of k >= 0
+    saturated steps; where c(t) <= 0 (``_saturated_cgf``), exp(t S_k) is a
+    supermartingale, so P(X - N >= j) <= exp(-t j) (Kingman, 1970), and K =
+    N + ceil(60 ln 2 / t) at the largest such t of the grid.  Refuses load
+    >= 1 (UnstableRegimeError) and a load so near 1 that no t qualifies
+    (ValueError; K would pass N + 4.1e7).
+    """
+    if p.load >= 1.0:
+        raise UnstableRegimeError(f"no stationary law at load {p.load:.6g} >= 1")
+    t, cgf = _saturated_cgf(p)
+    rates = t[cgf <= 0.0]
+    if not rates.size:
+        raise ValueError(f"load {p.load!r} is too close to 1 to bound the stationary tail")
+    lower = _floor_of(_arrival_window(p.daily_arrival_rate / p.daily_service_prob))
+    return lower, p.n_servers + math.ceil(-math.log(_TAIL) / rates[-1])
+
+
+def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
+    """``build_kernel`` on ``stationary_window``, K set by ``truncation`` (>= N) if given."""
+    lower, top = stationary_window(p)
+    if truncation is not None and truncation < p.n_servers:
+        raise ValueError(f"--truncation {truncation} is below the server count {p.n_servers}")
+    return build_kernel(p, top if truncation is None else truncation, lower)
 
 
 def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
@@ -545,7 +551,7 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
     sums at level ``_TAIL`` / (horizon + 3), so the count passes max(x0,
     N) + r with probability at most horizon * ``_TAIL`` / 2.  K is the
     smaller bound, but at least x0: at low load r can be negative.  A
-    window from 0 reaches the server count, as ``build_kernel`` requires.
+    window from 0 reaches at least the server count.
     """
     n = p.n_servers
     lam = p.daily_arrival_rate

@@ -117,8 +117,7 @@ _Result = tuple[tuple[np.ndarray, np.ndarray] | None, dict]
 
 def _cmd_exact(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
-    kernel = chain_mod.build_kernel(p, cfg.truncation)
-    pmf = chain_mod.stationary_pmf(kernel, tol=cfg.tol)
+    pmf = chain_mod.stationary_pmf(chain_mod.stationary_kernel(p, cfg.truncation), tol=cfg.tol)
     mean, sd = chain_mod.lattice_moments(pmf.support, pmf.mass)
     return (pmf.support, pmf.mass), {"residual": pmf.residual, "mean": mean, "sd": sd}
 
@@ -186,6 +185,10 @@ def _cmd_simulate(cfg: RunConfig) -> _Result:
 def _cmd_limit_check(cfg: RunConfig) -> _Result:
     if cfg.sizes is None:
         raise ValueError("--n must list the system sizes, e.g. --n 25,100,400")
+    if cfg.steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {cfg.steps}")
+    if cfg.replications < 1:
+        raise ValueError(f"--replications must be at least 1, got {cfg.replications}")
     harness = diff_mod.LimitHarnessConfig(
         system_sizes=cfg.sizes,
         horizon=cfg.steps,

@@ -77,14 +77,14 @@ def compare_methods(
 ) -> ComparisonReport:
     """Run all three solvers and align them on the integer lattice.
 
-    The projection runs first: it refuses an over-budget ``elements`` before
-    the exact chain is built and solved.
+    The exact chain's kernel is built first and solved last: a refused
+    ``truncation`` costs no projection, a refused ``elements`` no solve.
     """
+    kernel = chain.stationary_kernel(p, truncation)
     d = derive_diffusion_params(p)
     _, system, recon = projection.project_stationary_density(
         d, p.daily_service_prob, num_elements=elements, grid_lo=grid_lo, grid_hi=grid_hi
     )
-    kernel = chain.build_kernel(p, truncation)
     pmf = chain.stationary_pmf(kernel, tol=tol)
 
     edges = lattice_edges(p.n_servers, kernel.truncation_level)
@@ -92,7 +92,7 @@ def compare_methods(
     projection_mass = recon.bin_masses(edges)
     return ComparisonReport(
         params=p,
-        lattice=kernel.states,
+        lattice=pmf.support,
         exact=pmf.mass / pmf.mass.sum(),
         formula=formula_mass / formula_mass.sum(),
         projection=projection_mass / projection_mass.sum(),

@@ -199,16 +199,6 @@ def _pf_windows(nodes: np.ndarray, h: float, means: np.ndarray, sd: float, first
         yield part, rows, pf
 
 
-def _pf_hats(t: np.ndarray, h: float, means: np.ndarray, sd: float) -> np.ndarray:
-    """P f of the hat of every breakpoint in ``t``, a uniform grid of width
-    ``h``, from every point of ``means``; shape (len(t), len(means)).
-    """
-    pf = np.empty((t.size, means.size))
-    for part, _, band in _pf_windows(t, h, means, sd, np.zeros(means.size, np.intp), t.size):
-        pf[:, part] = band
-    return pf
-
-
 def _combine_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_i weights[i] * rows[i], added up in index order.
 

@@ -5,6 +5,7 @@ import pytest
 
 from mpmath import mp
 from scipy import stats
+from scipy.optimize import brentq
 
 from midnightq import (
     ChainKernel,
@@ -12,10 +13,10 @@ from midnightq import (
     ModelParams,
     UnstableRegimeError,
     build_kernel,
-    default_truncation,
     simulate_path,
     simulate_replications,
     stationary_pmf,
+    stationary_window,
     transient_pmf,
 )
 from midnightq.chain import (
@@ -29,6 +30,7 @@ from midnightq.chain import (
     binomial_pmf,
     empirical_pmf,
     poisson_pmf,
+    stationary_kernel,
 )
 from midnightq.cli import csv_table as pmf_csv
 
@@ -75,11 +77,31 @@ class TestBuildKernel:
         assert np.abs(dense_rows(kernel)[0] - expected).max() <= 1e-15
 
     def test_truncation_below_server_count_rejected(self):
-        with pytest.raises(ValueError, match="truncation below server count"):
-            build_kernel(ModelParams(10, 1.0, 0.5), truncation=9)
+        with pytest.raises(ValueError, match="--truncation 9 is below the server count 10"):
+            stationary_kernel(ModelParams(10, 1.0, 0.5), truncation=9)
 
     def test_default_truncation_clears_server_count(self, params_large):
-        assert default_truncation(params_large) > params_large.n_servers
+        # build_kernel's default truncation is the K of stationary_window.
+        assert stationary_window(params_large)[1] > params_large.n_servers
+        assert build_kernel(params_large).truncation_level == stationary_window(params_large)[1]
+
+    @pytest.mark.parametrize("n, lam", [(18, 3.03), (66, 11.37), (500, 90.95)])
+    def test_stationary_window_top_is_kingman_bound(self, n, lam):
+        # K - N = ceil(60 ln 2 / t) at a grid point t at or below the root t*
+        # of the saturated step's cgf, so K is at least Kingman's bound at t*
+        # and, the grid's ratio being 1.033, not far above it.
+        p = ModelParams.from_mean_los(n, lam, 5.3)
+        mu = p.daily_service_prob
+        root = brentq(lambda t: lam * math.expm1(t) + n * math.log1p(mu * math.expm1(-t)),
+                      1e-4, 5.0)
+        least = math.ceil(60 * math.log(2) / root)
+        top = stationary_window(p)[1]
+        assert least <= top - n <= 1.04 * least + 1
+
+    def test_window_of_load_within_1e_9_of_one_refused(self):
+        p = ModelParams(5, 5 * 0.25 * (1 - 1e-9), 0.25)
+        with pytest.raises(ValueError, match="too close to 1"):
+            stationary_window(p)
 
     def test_kernel_too_large_for_memory_refused(self):
         # N = 500 at load 0.999 with a truncation of 10^9 states: the banded
@@ -260,14 +282,23 @@ class TestStationaryPMF:
             referee = np.array([float(x[i]) for i in range(k)])
         assert tv(stationary_pmf(kernel).mass, referee) <= 1e-14
 
-    def test_window_refused(self, params_medium):
-        with pytest.raises(ValueError, match="lower cut 7"):
-            stationary_pmf(build_kernel(params_medium, lower=7))
+    @pytest.mark.parametrize("fixture", ["params_medium", "params_large"])
+    def test_window_law_matches_full_lattice(self, fixture, request):
+        # The law solved on [L, K] against the one on [0, K]: the full
+        # lattice holds at most 2^-60 below L, and the two agree to 1e-13.
+        p = request.getfixturevalue(fixture)
+        window = stationary_kernel(p)
+        assert window.lower > 0
+        full = stationary_pmf(build_kernel(p, window.truncation_level)).mass
+        pi = stationary_pmf(window).mass
+        assert pi.size == full.size
+        assert not pi[: window.lower].any()
+        assert full[: window.lower].sum() <= 2.0**-60
+        assert tv(pi, full) <= 1e-13
 
     def test_overloaded_chain_refused(self):
-        kernel = build_kernel(ModelParams(5, 1.5, 0.25))
         with pytest.raises(UnstableRegimeError, match="load"):
-            stationary_pmf(kernel)
+            stationary_pmf(build_kernel(ModelParams(5, 1.5, 0.25)))
 
     def test_nan_residual_refused(self, params_small):
         kernel = build_kernel(params_small, truncation=40)

@@ -1,12 +1,18 @@
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from midnightq import chain, projection
 from midnightq.cli import _OPTIONS, build_config, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ARGS = ["--n", "18", "--lambda", "3.03", "--mean-los", "5.3"]
 # Per option: a config-file value and a different flag text, neither the default.
 OPTION_VALUES = {
@@ -282,13 +288,65 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--steps", "-1", "horizon must be >= 0, got -1"),
-         ("--replications", "0", "replications must be >= 1, got 0")],
+        [("--steps", "-1", "--steps must be at least 0, got -1"),
+         ("--replications", "0", "--replications must be at least 1, got 0")],
     )
     def test_limit_check_bounds_exit_2(self, flag, value, message, capsys):
         args = ["limit-check", "--n", "25,100", "--mean-los", "5.3", flag, value]
         assert main(args) == 2
-        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: {message}\n"
+        assert flag in err
+
+    @pytest.mark.parametrize("command", ["exact", "compare"])
+    def test_truncation_below_server_count_exit_2(self, command, capsys):
+        # At N = 66 the window starts at L = 7, so --truncation 10 would
+        # leave a 4-state lattice; it is refused as below the server count.
+        args = [command, "--n", "66", "--lambda", "11.37", "--mean-los", "5.3"]
+        assert main([*args, "--truncation", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid configuration: --truncation 10 is below the server count 66\n"
+        )
+
+    @pytest.mark.parametrize("truncation", ["100", "1000000000"])
+    def test_refused_compare_truncation_never_projects(self, truncation, monkeypatch, capsys):
+        # Below the server count, and a banded LU of terabytes at load 0.999.
+        def projecting(*args, **kwargs):
+            raise AssertionError("projected before refusing --truncation")
+
+        monkeypatch.setattr(projection, "project_stationary_density", projecting)
+        lam = repr(0.999 * 500 / 5.3)
+        args = ["compare", "--n", "500", "--lambda", lam, "--mean-los", "5.3"]
+        assert main([*args, "--truncation", truncation]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and "--truncation" in err
+
+    def test_exact_near_critical_large_pool(self, tmp_path):
+        # N = 20,000 at load 0.99: the window [18,578, 23,764] solves in
+        # about a second; on the full lattice 0..K the solve took 2.7 GB.
+        n, mu = 20_000, 1 / 5.3
+        lam = 0.99 * n * mu
+        out = tmp_path / "exact.json"
+        argv = [sys.executable, "-m", "midnightq.cli", "exact", "--n", str(n),
+                "--lambda", repr(lam), "--mean-los", "5.3", "--format", "json",
+                "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE) as proc:
+            err = proc.stderr.read()
+            # The child's own resource usage, as RUSAGE_CHILDREN reports it
+            # when it is the only child waited for.
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, err
+        assert usage.ru_maxrss < 2**20  # KiB: 1 GiB
+        result = json.loads(out.read_text())
+        states = np.asarray(result["states"])
+        pi = np.asarray(result["probabilities"])
+        assert np.array_equal(states, np.arange(pi.size))
+        assert result["residual"] <= 1e-12
+        assert abs(lam - mu * float(np.minimum(states, n) @ pi)) <= 1e-8
 
     @pytest.mark.parametrize(
         "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]

@@ -17,19 +17,42 @@ import pytest
 
 from midnightq import ModelParams, cli, derive_diffusion_params, diffusion
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+@contextlib.contextmanager
+def _loaded(name, monkeypatch):
+    """``perfbench/<name>.py`` as a module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
         spec.loader.exec_module(module)
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    with _loaded("spans", monkeypatch) as module:
+        yield module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    with _loaded("workloads", monkeypatch) as module:
+        yield module
+
+
+def test_exact_output_passes_the_benchmark_checks(workloads, capsys):
+    # The benchmark refuses an `exact` law whose states are not 0..K: the
+    # windowed solve must still print the states below its lower cut.
+    for n, lam in (*workloads.SYSTEMS, workloads.NEAR_CRITICAL):
+        assert cli.main(["exact", *workloads._system_args(n, lam), "--format", "json"]) == 0
+        fails, _ = workloads.exact_failures(capsys.readouterr().out, n, lam)
+        assert fails == [], fails
 
 
 def test_every_layer_records_a_span_and_every_count_is_read(spans):

@@ -18,12 +18,12 @@ from midnightq import (
     assemble_gram,
     build_basis,
     default_basis,
-    default_truncation,
     derive_diffusion_params,
     dou_stationary_density,
     project_stationary_density,
     proxy_density,
     solve_gram,
+    stationary_window,
 )
 from midnightq import projection
 from midnightq.cli import main
@@ -32,7 +32,7 @@ from midnightq.projection import (
     GramSystem,
     _combine_rows,
     _pf_band,
-    _pf_hats,
+    _pf_windows,
     lf_hat_matrix,
 )
 
@@ -70,6 +70,16 @@ def band_bound(system):
     return delta * (s[:, None] + s[None, :] + delta * system.e_mass)
 
 
+def _pf_hats(t, h, means, sd):
+    """P f of every hat on ``t``, a uniform grid of width ``h``, from every
+    point of ``means``: ``_pf_windows`` on all of ``t`` at once; shape
+    (len(t), len(means))."""
+    pf = np.empty((t.size, means.size))
+    for part, _, band in _pf_windows(t, h, means, sd, np.zeros(means.size, np.intp), t.size):
+        pf[:, part] = band
+    return pf
+
+
 def dense_lf(system):
     """L f over the whole grid: P f of every hat at every quadrature node."""
     basis, x = system.basis, system.quad_x
@@ -80,7 +90,7 @@ def lattice_projection(params):
     """(system, reconstruction, lattice bin edges) of the default projection."""
     d = derive_diffusion_params(params)
     _, system, recon = project_stationary_density(d, params.daily_service_prob)
-    return system, recon, lattice_edges(params.n_servers, default_truncation(params))
+    return system, recon, lattice_edges(params.n_servers, stationary_window(params)[1])
 
 
 def unskipped_projected(recon, x):
@@ -592,10 +602,11 @@ class TestReconstruction:
 
     def test_point_value_does_not_depend_on_its_batch(self, params_large):
         # x near 51.518 at N = 500: its value alone, inside the 14,048-point
-        # batch of bin_masses and inside a 7,259-point batch must agree.
+        # batch of bin_masses on the lattice 0..1,594 and inside a 7,259-point
+        # batch must agree.
         d = derive_diffusion_params(params_large)
         _, system, recon = project_stationary_density(d, params_large.daily_service_prob)
-        edges = lattice_edges(params_large.n_servers, default_truncation(params_large))
+        edges = lattice_edges(params_large.n_servers, 1594)
         batches = []
         evaluate = recon.density
 
