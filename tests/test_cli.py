@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midnightq import chain, projection
+from midnightq import chain, diffusion, projection
 from midnightq.cli import _OPTIONS, build_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -288,15 +288,22 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--steps", "-1", "--steps must be at least 0, got -1"),
-         ("--replications", "0", "--replications must be at least 1, got 0")],
+        [("--steps", "-1", "horizon must be >= 0, got -1"),
+         ("--replications", "0", "replications must be >= 1, got 0")],
     )
     def test_limit_check_bounds_exit_2(self, flag, value, message, capsys):
+        # The CLI refuses the flag by its own name; the harness field it
+        # feeds (the first word of ``message``) keeps its own check.
         args = ["limit-check", "--n", "25,100", "--mean-los", "5.3", flag, value]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err == f"invalid configuration: {message}\n"
+        bound = message.split(">= ")[1]
+        assert err == f"invalid configuration: {flag} must be at least {bound}\n"
         assert flag in err
+        fields = {"system_sizes": (25, 100), "horizon": 0, "replications": 1,
+                  "service_prob": 1 / 5.3, message.split()[0]: int(value)}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            diffusion.LimitHarnessConfig(**fields)
 
     @pytest.mark.parametrize("command", ["exact", "compare"])
     def test_truncation_below_server_count_exit_2(self, command, capsys):
