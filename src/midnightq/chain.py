@@ -84,18 +84,13 @@ class ChainKernel:
         return np.arange(self.lower, self.truncation_level + 1)
 
     def step(self, pi: np.ndarray) -> np.ndarray:
-        """One day of the chain applied to a row vector: ``pi @ P``."""
+        """One day of the chain applied to a row vector: ``pi @ P``.
+
+        scipy's dgbmv wants at least as many rows as the band is wide; the
+        rows past the top state that a narrow lattice adds are zero rows.
+        """
         size, width = self.band.shape
-        if size >= width:
-            return dgbmv(size, size, self.ku, self.kl, 1.0, self.band.T, pi)
-        # scipy's dgbmv refuses a matrix with fewer rows than its band is
-        # wide; states past the top with zero mass and zero rows change
-        # nothing.
-        band = np.zeros((width, width))
-        band[:size] = self.band
-        padded = np.zeros(width)
-        padded[:size] = pi
-        return dgbmv(width, width, self.ku, self.kl, 1.0, band.T, padded)[:size]
+        return dgbmv(max(size, width), size, self.ku, self.kl, 1.0, self.band.T, pi)[:size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,8 +545,7 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
     ``_saturated_rise`` bounds each of these horizon (horizon + 3) / 2
     sums at level ``_TAIL`` / (horizon + 3), so the count passes max(x0,
     N) + r with probability at most horizon * ``_TAIL`` / 2.  K is the
-    smaller bound, but at least x0: at low load r can be negative.  A
-    window from 0 reaches at least the server count.
+    smaller bound, but at least x0: at low load r can be negative.
     """
     n = p.n_servers
     lam = p.daily_arrival_rate
@@ -572,7 +566,7 @@ def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
         x0 + horizon * _reaches(_step_law(min(lower, n), mu, _arrival_window(lam)))[1],
         max(x0, n) + _saturated_rise(p, horizon, _TAIL / (horizon + 3)),
     )
-    return lower, max(top, x0, n if lower == 0 else 0)
+    return lower, max(top, x0)
 
 
 def transient_pmf(p: ModelParams, horizon: int, x0: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,9 @@ _CHUNK = 512
 _REACH_SD = 10
 # Residual a Gram solve may leave, relative to the norm of its right-hand side.
 _REL_TOL = 1e-8
+# Gauss-Legendre nodes per element and per tail panel of the Gram quadrature.
+_QUAD_ORDER = 16
+_TAIL_ORDER = 24
 
 
 class GramError(RuntimeError):
@@ -267,8 +270,8 @@ class GramSystem:
 
     ``matrix`` holds the pairwise r-weighted inner products of the mapped
     basis, ``rhs`` their inner products with the constant function.  The
-    quadrature nodes, weights (r included), and mapped-basis values are kept
-    so the reconstruction reuses exactly the same discrete inner product.
+    quadrature nodes and weights (r included) are kept so the
+    reconstruction reuses exactly the same discrete inner product.
     """
 
     matrix: np.ndarray
@@ -278,7 +281,6 @@ class GramSystem:
     basis: FemBasis
     quad_x: np.ndarray
     quad_w: np.ndarray
-    lf: np.ndarray
     e_mass: float
     n_core: int
     rhs_scale: float = 1.0
@@ -312,8 +314,8 @@ def assemble_gram(
     basis: FemBasis,
     kernel: TransitionKernel,
     r,
-    quad_order: int = 16,
-    tail_order: int = 24,
+    quad_order: int = _QUAD_ORDER,
+    tail_order: int = _TAIL_ORDER,
 ) -> GramSystem:
     """Assemble the r-weighted normal equations of the projection.
 
@@ -349,14 +351,16 @@ def assemble_gram(
     if not (np.isfinite(quad_x).all() and np.isfinite(quad_w).all()):
         raise GramError("tail quadrature produced non-finite nodes or weights")
 
+    # One copy of L f: the rhs reads it, then dsyrk reads it weighted by
+    # sqrt(w) in place and fills its upper triangle, mirrored so the matrix
+    # is exactly symmetric.  The transposes are the Fortran-ordered views
+    # BLAS takes without a copy.
     lf = lf_hat_matrix(basis, kernel, quad_x)
-    weighted = lf * np.sqrt(quad_w)[None, :]
-    # dsyrk fills the upper triangle of weighted @ weighted.T; mirroring it
-    # makes the matrix exactly symmetric.  The transposes are the Fortran-
-    # ordered views BLAS takes without a copy.
-    upper = dsyrk(1.0, weighted.T, trans=1)
-    matrix = np.triu(upper) + np.triu(upper, 1).T
     rhs = dgemv(1.0, lf.T, quad_w, trans=1)
+    root_w = np.sqrt(quad_w)
+    lf *= root_w
+    upper = dsyrk(1.0, lf.T, trans=1)
+    matrix = np.triu(upper) + np.triu(upper, 1).T
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
         raise GramError("non-finite Gram entries; check the reference density scale")
     return GramSystem(
@@ -367,11 +371,10 @@ def assemble_gram(
         basis=basis,
         quad_x=quad_x,
         quad_w=quad_w,
-        lf=lf,
         e_mass=float(quad_w.sum()),
         n_core=core_x.size,
-        # |L f| takes the memory of the weighted copy, which dsyrk has read.
-        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=weighted).T, quad_w, trans=1))),
+        # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, in L f's memory.
+        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=lf).T, root_w, trans=1))),
     )
 
 
@@ -530,12 +533,12 @@ def project_stationary_density(
 
     Returns (basis, system, reconstruction).  Refuses with ValueError,
     before building the basis, an assembly that would take over
-    ``chain._memory_budget``: it holds L f and its weighted copy, which then
-    takes |L f|, each (m + 1) x q, and two (m + 1)^2 Gram arrays at once.
+    ``chain._memory_budget``: it holds L f, (m + 1) x q, and two (m + 1)^2
+    Gram arrays at once.
     """
     m = num_elements
-    q = 16 * m + 2 * 24 * _REACH_SD  # assemble_gram's default quadrature nodes, at most
-    _check_budget(8 * (m + 1) * (2 * q + 2 * m + 2),
+    q = _QUAD_ORDER * m + 2 * _TAIL_ORDER * _REACH_SD  # assemble_gram's nodes, at most
+    _check_budget(8 * (m + 1) * (q + 2 * m + 2),
                   f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)
     lo, hi = working_domain(d, grid_lo, grid_hi)

@@ -219,6 +219,18 @@ class TestBuildKernel:
         rhs[0] = 1.0
         assert tv(pi.mass, np.linalg.solve(system, rhs)) <= 1e-13
 
+    @pytest.mark.parametrize("lower, k_max, excess", [
+        (40, 40, -45), (25, 30, -40), (0, 45, -1), (0, 46, 0), (0, 47, 1),
+    ])
+    def test_step_is_the_dense_product_at_every_lattice_size(self, params_small, lower, k_max,
+                                                             excess):
+        # One state, fewer states than the band is wide, one fewer, as many
+        # and one more: the step is one dgbmv call at every size.
+        kernel = build_kernel(params_small, truncation=k_max, lower=lower)
+        assert kernel.band.shape[0] - kernel.band.shape[1] == excess
+        pi = np.random.default_rng(k_max).dirichlet(np.ones(k_max - lower + 1))
+        assert np.abs(kernel.step(pi) - pi @ dense_rows(kernel)).max() <= 1e-15
+
 
 class TestStationaryPMF:
     def test_small_system_residual_and_flow_balance(self, params_small):

@@ -234,9 +234,9 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, flag, allocator",
         [
-            (["projection", *SMALL_ARGS, "--elements", "64"], "--elements",
+            (["projection", *SMALL_ARGS, "--elements", "128"], "--elements",
              (projection, "default_basis")),
-            (["compare", *SMALL_ARGS, "--elements", "64"], "--elements",
+            (["compare", *SMALL_ARGS, "--elements", "128"], "--elements",
              (projection, "default_basis")),
             (["simulate", *SMALL_ARGS, "--steps", "100000"], "--steps",
              (chain, "simulate_path")),
@@ -248,7 +248,7 @@ class TestCommands:
     )
     def test_input_sized_arrays_over_budget_exit_2(self, argv, flag, allocator, monkeypatch,
                                                     capsys):
-        # Under a 1 MiB budget: 1.6 MB of Gram assembly at 64 elements, a
+        # Under a 1 MiB budget: 2.9 MB of Gram assembly at 128 elements, a
         # 1.6 MB path of 10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
         # 4,001-point formula table.  Each is refused before the function
         # that would allocate it is called.

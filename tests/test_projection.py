@@ -61,12 +61,18 @@ def reach_window(basis, kernel, x):
     return np.clip(first, 0, basis.size - width), width
 
 
-def band_bound(system):
-    """Bound on |G_ij - dense G_ij| when each lf entry is within Phi(-Z) of
-    its dense value: Phi(-Z) (s_i + s_j + Phi(-Z) e_mass), s_i = sum w |lf_i|.
+def system_lf(system):
+    """L f at the quadrature nodes of ``system``, as its assembly computed it."""
+    return lf_hat_matrix(system.basis, system.kernel, system.quad_x)
+
+
+def band_bound(system, lf):
+    """Bound on |G_ij - dense G_ij| when each entry of ``lf``, the system's
+    L f, is within Phi(-Z) of its dense value: Phi(-Z) (s_i + s_j + Phi(-Z)
+    e_mass), s_i = sum w |lf_i|.
     """
     delta = ndtr(-REACH_SD)
-    s = np.abs(system.lf) @ system.quad_w
+    s = np.abs(lf) @ system.quad_w
     return delta * (s[:, None] + s[None, :] + delta * system.e_mass)
 
 
@@ -354,20 +360,21 @@ class TestFusedKernel:
 
 class TestAssembleGram:
     @pytest.mark.parametrize("name", ["params_small", "params_large"])
-    def test_peak_memory_is_lf_and_its_weighted_copy(self, request, name):
-        # L f, its weighted copy (which then takes |L f|), the Gram arrays
-        # and one batch of kernel work arrays, at most.
+    @pytest.mark.parametrize("m, ratio", [(160, 1.8), (400, 1.35)])
+    def test_peak_memory_is_one_lf(self, request, name, m, ratio):
+        # L f, weighted and then made |L f| in place, the Gram arrays and
+        # one batch of kernel work arrays, at most: no second copy of L f.
         params = request.getfixturevalue(name)
         d = derive_diffusion_params(params)
         mu = params.daily_service_prob
-        basis, kernel, r = default_basis(d, 160), TransitionKernel(d, mu), proxy_density(d, mu)
+        basis, kernel, r = default_basis(d, m), TransitionKernel(d, mu), proxy_density(d, mu)
         tracemalloc.start()
         try:
             system = assemble_gram(basis, kernel, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * system.lf.nbytes
+        assert peak <= ratio * basis.size * system.quad_x.size * 8
 
     def test_matrix_symmetric_and_psd(self, params_small):
         *_, system = small_setup(params_small)
@@ -382,7 +389,7 @@ class TestAssembleGram:
         *_, system = small_setup(params_small, m=160)
         a = system.matrix
         assert np.array_equal(a, a.T)
-        weighted = system.lf * np.sqrt(system.quad_w)[None, :]
+        weighted = system_lf(system) * np.sqrt(system.quad_w)[None, :]
         dense = weighted @ weighted.T
         assert np.abs(a - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -393,11 +400,12 @@ class TestAssembleGram:
         *_, fine = small_setup(params_small, m=64, quad_order=32, tail_order=48)
         eps = np.finfo(float).eps
 
-        abs_weighted = np.abs(base.lf) * np.sqrt(base.quad_w)
+        lf = system_lf(base)
+        abs_weighted = np.abs(lf) * np.sqrt(base.quad_w)
         matrix_noise = 100.0 * eps * (abs_weighted @ abs_weighted.T)
         matrix_diff = np.abs(base.matrix - fine.matrix)
         # Or it sits below what each system's band may leave out of it.
-        band_gap = 2.0 * band_bound(base)
+        band_gap = 2.0 * band_bound(base, lf)
         ok = (
             (matrix_diff <= 1e-9 * np.abs(base.matrix))
             | (matrix_diff <= matrix_noise)
@@ -405,7 +413,7 @@ class TestAssembleGram:
         )
         assert ok.all()
 
-        rhs_noise = 100.0 * eps * (np.abs(base.lf) @ base.quad_w)
+        rhs_noise = 100.0 * eps * (np.abs(lf) @ base.quad_w)
         rhs_diff = np.abs(base.rhs - fine.rhs)
         ok = (rhs_diff <= 1e-9 * np.abs(base.rhs)) | (rhs_diff <= rhs_noise)
         assert ok.all()
@@ -432,7 +440,6 @@ def synthetic_system(matrix, rhs, rhs_scale=1.0):
         basis=None,
         quad_x=np.zeros(0),
         quad_w=np.zeros(0),
-        lf=np.zeros((len(rhs), 0)),
         e_mass=1.0,
         n_core=0,
         rhs_scale=rhs_scale,
@@ -688,14 +695,14 @@ def benchmark_system(request):
 class TestHatBand:
     def test_lf_and_gram_are_within_the_band_bound_of_dense(self, benchmark_system):
         _, system = benchmark_system
-        dense = dense_lf(system)
-        assert np.abs(system.lf - dense).max() <= ndtr(-REACH_SD)
+        lf, dense = system_lf(system), dense_lf(system)
+        assert np.abs(lf - dense).max() <= ndtr(-REACH_SD)
         root_w = np.sqrt(system.quad_w)
         weighted = dense * root_w
         abs_weighted = np.abs(dense) * root_w
         floor = 100.0 * np.finfo(float).eps * (abs_weighted @ abs_weighted.T)
         gap = np.abs(system.matrix - weighted @ weighted.T)
-        assert np.all(gap <= band_bound(system) + floor)
+        assert np.all(gap <= band_bound(system, lf) + floor)
 
     def test_projected_is_p_g_minus_g(self, benchmark_system):
         # Per point, P g - g over its own hat window must agree with the
@@ -713,8 +720,9 @@ class TestHatBand:
 
     def test_lf_holds_no_subnormal_entry(self, benchmark_system):
         _, system = benchmark_system
-        tiny = np.abs(system.lf) < np.finfo(float).tiny
-        assert np.all(system.lf[tiny] == 0.0)
+        lf = system_lf(system)
+        tiny = np.abs(lf) < np.finfo(float).tiny
+        assert np.all(lf[tiny] == 0.0)
 
     def test_printed_condition_matches_dense_reference(self, benchmark_system, capsys):
         params, system = benchmark_system
