@@ -201,8 +201,7 @@ def _reaches(law: tuple[int, np.ndarray]) -> tuple[int, int]:
     ``law`` is a ``_step_law`` of trimmed laws, whose tails the trims lower
     by less than 2 ``_TRIM``, so each is held to that much less.  More busy
     servers only lower the step, so the up reach from a busy count bounds
-    every state above, and the down reach of the saturated law, D ~
-    Binomial(N, mu), bounds every row.
+    every state above it, and the down reach every state below it.
     """
     first, pmf = law
     lo, hi = _tails(pmf, _TAIL - 2 * _TRIM)
@@ -222,7 +221,9 @@ def build_kernel(
     ``mu * row_x[y] + (1 - mu) * row_x[y - 1]``, a sum of positive terms.
     Rows x >= N shift the saturated row N.  Mass beyond the top state is
     folded into it, and mass below ``lower`` into ``lower``.  The up reach
-    ``ku`` is that of row ``lower``, which bounds the rows above it.
+    ``ku`` is that of row ``lower``, which bounds the rows above it, and the
+    down reach ``kl`` that of the top row, min(K, N) busy, which bounds the
+    rows below it.
 
     Refuses with ValueError, before allocating, a window whose banded LU
     storage, ``8 (2 ku + kl + 1) (K - lower + 1)`` bytes, would take over
@@ -238,7 +239,7 @@ def build_kernel(
     mu = p.daily_service_prob
     busy = min(lower, n)
     arrivals = _arrival_window(lam)
-    kl = _reaches(_step_law(n, mu, arrivals))[0]
+    kl = _reaches(_step_law(min(k_max, n), mu, arrivals))[0]
     law = _step_law(busy, mu, arrivals)
     ku = _reaches(law)[1]
     size = k_max - lower + 1
@@ -476,11 +477,13 @@ def _floor_of(*laws: tuple[int, np.ndarray]) -> int:
     return offset + _tails(law, _TAIL - 2 * len(laws) * _TRIM)[0]
 
 
-def _saturated_cgf(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """``(t, c(t))``: the cgf of a saturated step Poisson(lam) - Binomial(N, mu), on t > 0."""
+def _saturated_cgf(p: ModelParams, busy) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, c(t))``: the cgf of a step Poisson(lam) - Binomial(k, mu) on t > 0,
+    one row for each busy count k of ``busy`` (a count or an array)."""
     lam, mu = p.daily_arrival_rate, p.daily_service_prob
     t = np.geomspace(1e-6, 20.0, 512)
-    return t, lam * np.expm1(t) + p.n_servers * np.log1p(mu * np.expm1(-t))
+    k = np.asarray(busy, dtype=float)[..., None]
+    return t, lam * np.expm1(t) + k * np.log1p(mu * np.expm1(-t))
 
 
 def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
@@ -489,7 +492,7 @@ def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
     Chernoff, S_k the sum of k saturated steps: P(S_k >= r) <= exp(k c(t) -
     t r) for every t > 0, taken at the best t of ``_saturated_cgf``'s grid.
     """
-    t, cgf = _saturated_cgf(p)
+    t, cgf = _saturated_cgf(p, p.n_servers)
     rise = -math.inf
     for first in range(1, days + 1, 4096):
         k = np.arange(first, min(first + 4096, days + 1))[:, None]
@@ -501,21 +504,28 @@ def stationary_window(p: ModelParams) -> tuple[int, int]:
     """States [L, K] that the stationary count leaves, below or above, with
     probability at most ``_TAIL``: ``_transient_window``'s couplings as the
     horizon grows.  Its floor becomes Poisson(lam / mu), and L is that law's
-    ``_floor_of``.  Its walk becomes the supremum of the sums S_k of k >= 0
-    saturated steps; where c(t) <= 0 (``_saturated_cgf``), exp(t S_k) is a
-    supermartingale, so P(X - N >= j) <= exp(-t j) (Kingman, 1970), and K =
-    N + ceil(60 ln 2 / t) at the largest such t of the grid.  Refuses load
-    >= 1 (UnstableRegimeError) and a load so near 1 that no t qualifies
-    (ValueError; K would pass N + 4.1e7).
+    ``_floor_of``.  Above, fix a busy level k, lam / mu < k <= N.  From x >=
+    k at least k servers are busy, and with shared departure draws a start
+    below k only lowers the next count, so X - k is at most the supremum of
+    the sums of steps Poisson(lam) - Binomial(k, mu).  Where their cgf c(t)
+    <= 0 (``_saturated_cgf``), exp(t S) is a supermartingale, so P(X - k >=
+    j) <= exp(-t j) (Kingman, 1970).  K is the least k + ceil(60 ln 2 / t),
+    t the largest such t of the grid, over up to 64 levels spaced
+    geometrically over (lam / mu, N], N included: at low load K can be
+    below N.  Refuses load >= 1 (UnstableRegimeError) and a load so near 1
+    that no t qualifies at k = N (ValueError; K would pass N + 4.1e7).
     """
     if p.load >= 1.0:
         raise UnstableRegimeError(f"no stationary law at load {p.load:.6g} >= 1")
-    t, cgf = _saturated_cgf(p)
-    rates = t[cgf <= 0.0]
-    if not rates.size:
+    n, offered = p.n_servers, p.daily_arrival_rate / p.daily_service_prob
+    busy = np.unique(np.ceil(np.geomspace(n, offered, 64, endpoint=False)))
+    t, cgf = _saturated_cgf(p, busy)
+    rates = np.where(cgf <= 0.0, t, 0.0).max(axis=1)  # 0 where no t qualifies
+    if not rates[-1] > 0.0:
         raise ValueError(f"load {p.load!r} is too close to 1 to bound the stationary tail")
-    lower = _floor_of(_arrival_window(p.daily_arrival_rate / p.daily_service_prob))
-    return lower, p.n_servers + math.ceil(-math.log(_TAIL) / rates[-1])
+    qualified = rates > 0.0
+    tops = busy[qualified] + np.ceil(-math.log(_TAIL) / rates[qualified])
+    return _floor_of(_arrival_window(offered)), int(tops.min())
 
 
 def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:

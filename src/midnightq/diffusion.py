@@ -69,7 +69,7 @@ def transition_density(kernel: TransitionKernel, x, y):
 
 @dataclass(frozen=True, eq=False)
 class NormalDensity:
-    """Gaussian density with closed-form cdf (idle-side building block)."""
+    """Gaussian density (the always-pulled recursion's stationary law)."""
 
     mean: float
     variance: float
@@ -86,9 +86,6 @@ class NormalDensity:
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         out = np.exp(-0.5 * z * z) / (self.sd * _SQRT2PI)
         return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ The test space is a family of piecewise-linear hats on a uniform grid with
 a node pinned at zero, where the kernel's conditional mean has a kink.  The
 inner one-step expectation P f is available in closed form (truncated
 Gaussian moments per linear piece); only the outer r-weighted integrals
-need quadrature: fixed-order Gauss-Legendre per element plus composite
-panels marching down the two semi-infinite tails beyond the grid.
+need quadrature: fixed-order Gauss-Legendre per element plus ten composite
+panels, one step sd each, on each semi-infinite tail beyond the grid.
 """
 
 from __future__ import annotations
@@ -286,30 +286,6 @@ class GramSystem:
     rhs_scale: float = 1.0
 
 
-def _tail_segments(r, cut: float, step_sd: float, outward: float) -> list[tuple[float, float]]:
-    """Segments marching away from ``cut``, one step-sd long each.
-
-    Stops once the reference has shed 45 e-folds of its tail mass or after
-    ``_REACH_SD`` segments, the half-width of a point's hat window.
-    """
-    def remaining(x: float) -> float:
-        c = float(r.cdf(x))
-        return c if outward < 0 else 1.0 - c
-
-    total = remaining(cut)
-    if total <= 1e-280:
-        return []
-    segments = []
-    a = cut
-    for _ in range(_REACH_SD):
-        b = a + outward * step_sd
-        segments.append((a, b))
-        if remaining(b) <= math.exp(-45.0) * total:
-            break
-        a = b
-    return segments
-
-
 def assemble_gram(
     basis: FemBasis,
     kernel: TransitionKernel,
@@ -319,11 +295,12 @@ def assemble_gram(
 ) -> GramSystem:
     """Assemble the r-weighted normal equations of the projection.
 
-    The reference density ``r`` must be callable and expose a ``cdf``.  The
-    two semi-infinite tails beyond the grid are integrated by composite
-    Gauss-Legendre panels, one kernel-step standard deviation long, marched
-    outward until either the reference mass or the mapped basis functions
-    are exhausted.
+    The reference density ``r`` need only be callable.  Each semi-infinite
+    tail beyond the grid is integrated by ``_REACH_SD`` composite
+    Gauss-Legendre panels, one kernel-step standard deviation long each,
+    the reach of a point's hat window (``_pf_band``).  Past the upper
+    panels a step starts that far above the grid, less the drift; past the
+    lower ones the reference's Gaussian tail is negligible.
     """
     u, wu = _gauss_legendre01(quad_order)
     t = basis.nodes
@@ -341,11 +318,12 @@ def assemble_gram(
     step_sd = kernel.step_law(0.0)[1]  # the same from every state
     xs = [core_x]
     ws = [core_w]
-    for cut, outward in ((basis.grid_lo, -1.0), (basis.grid_hi, +1.0)):
-        for a, b in _tail_segments(r, cut, step_sd, outward):
-            seg_x = a + (b - a) * ut
-            xs.append(seg_x)
-            ws.append(abs(b - a) * wut * np.asarray(r(seg_x), dtype=float))
+    for a, outward in ((basis.grid_lo, -1.0), (basis.grid_hi, +1.0)):
+        for _ in range(_REACH_SD):
+            b = a + outward * step_sd
+            xs.append(a + (b - a) * ut)
+            ws.append(abs(b - a) * wut * np.asarray(r(xs[-1]), dtype=float))
+            a = b
     quad_x = np.concatenate(xs)
     quad_w = np.concatenate(ws)
     if not (np.isfinite(quad_x).all() and np.isfinite(quad_w).all()):
@@ -537,7 +515,7 @@ def project_stationary_density(
     Gram arrays at once.
     """
     m = num_elements
-    q = _QUAD_ORDER * m + 2 * _TAIL_ORDER * _REACH_SD  # assemble_gram's nodes, at most
+    q = _QUAD_ORDER * m + 2 * _TAIL_ORDER * _REACH_SD  # the nodes assemble_gram makes
     _check_budget(8 * (m + 1) * (q + 2 * m + 2),
                   f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)

@@ -27,6 +27,7 @@ from midnightq.chain import (
     _saturated_steps,
     _step_cuts,
     _trim,
+    batch_means_se,
     binomial_pmf,
     empirical_pmf,
     poisson_pmf,
@@ -97,6 +98,18 @@ class TestBuildKernel:
         least = math.ceil(60 * math.log(2) / root)
         top = stationary_window(p)[1]
         assert least <= top - n <= 1.04 * least + 1
+
+    @pytest.mark.parametrize("n, load, window", [
+        (18, 3.03 * 5.3 / 18, (0, 359)),
+        (66, 11.37 * 5.3 / 66, (7, 496)),
+        (500, 90.95 * 5.3 / 500, (303, 1544)),
+        (500, 0.98, (309, 2386)),
+        (20_000, 0.99, (18_578, 23_764)),
+    ])
+    def test_stationary_window_where_n_busy_bounds_the_count(self, n, load, window):
+        # At these loads no busy level below N bounds the count more tightly.
+        p = ModelParams.from_mean_los(n, load * n / 5.3, 5.3)
+        assert stationary_window(p) == window
 
     def test_window_of_load_within_1e_9_of_one_refused(self):
         p = ModelParams(5, 5 * 0.25 * (1 - 1e-9), 0.25)
@@ -186,8 +199,8 @@ class TestBuildKernel:
     def test_reaches_hold_the_step_tails(self, fixture, request):
         # On a lattice from 0, row 0 steps by the arrivals alone: ku is their
         # last step whose upper tail still holds 2^-60.  kl is the last step
-        # down whose lower tail still holds 2^-60 under the saturated step
-        # A - D, D ~ Binomial(N, mu), which bounds every row's.
+        # down whose lower tail still holds 2^-60 under the top row's step
+        # A - D, here D ~ Binomial(N, mu), which bounds every row's.
         p = request.getfixturevalue(fixture)
         kernel = build_kernel(p)
         n, lam, mu = p.n_servers, p.daily_arrival_rate, p.daily_service_prob
@@ -198,6 +211,28 @@ class TestBuildKernel:
         )  # index i is the step i - n
         below = np.cumsum(np.concatenate([[0.0], steps]))  # below[i] = P(step < i - n)
         assert below[n - kernel.kl] < 2.0**-60 <= below[n - kernel.kl + 1]
+
+    @pytest.mark.parametrize("n, lam, mu, k_max, lower", [
+        (2000, 0.5 * 2000 / 5.3, 1 / 5.3, None, None),  # the stationary window
+        (100_000, 100.0, 0.5, 2000, 0),  # 10 days from x = 0 (_transient_window)
+    ])
+    def test_window_below_n_takes_kl_from_its_top_row(self, n, lam, mu, k_max, lower):
+        # No row of a window whose top K is below N has more than K busy
+        # servers: kl is the last step down whose lower tail still holds
+        # 2^-60 under A - D, D ~ Binomial(K, mu), and the rows stay stochastic.
+        p = ModelParams(n, lam, mu)
+        kernel = stationary_kernel(p) if k_max is None else build_kernel(p, k_max, lower)
+        top = kernel.truncation_level
+        assert top < n
+        steps = np.convolve(
+            stats.binom.pmf(np.arange(top + 1), top, mu)[::-1],
+            stats.poisson.pmf(np.arange(kernel.ku + 1), lam),
+        )  # index i is the step i - top
+        below = np.cumsum(np.concatenate([[0.0], steps]))  # below[i] = P(step < i - top)
+        assert below[top - kernel.kl] < 2.0**-60 <= below[top - kernel.kl + 1]
+        rows = dense_rows(kernel)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+        assert rows.min() >= 0.0
 
     def test_window_outside_lattice_rejected(self, params_small):
         with pytest.raises(ValueError, match="lower cut"):
@@ -306,6 +341,21 @@ class TestStationaryPMF:
         assert pi.size == full.size
         assert not pi[: window.lower].any()
         assert full[: window.lower].sum() <= 2.0**-60
+        assert tv(pi, full) <= 1e-13
+
+    @pytest.mark.parametrize("n, lam, mu, top", [
+        (2000, 0.5 * 2000 / 5.3, 1 / 5.3, 1411), (200, 5.0, 0.5, 62),
+    ])
+    def test_low_load_window_top_is_below_n(self, n, lam, mu, top):
+        # A busy level below N bounds the count at low load: the full lattice
+        # 0..N + 100 holds at most 2^-60 above the window's top K < N, and
+        # the law solved on the window agrees with it to 1e-13.
+        p = ModelParams(n, lam, mu)
+        window = stationary_kernel(p)
+        assert window.truncation_level == top
+        full = stationary_pmf(build_kernel(p, n + 100)).mass
+        pi = stationary_pmf(window).mass
+        assert full[top + 1 :].sum() <= 2.0**-60
         assert tv(pi, full) <= 1e-13
 
     def test_overloaded_chain_refused(self):
@@ -611,3 +661,30 @@ class TestSerialization:
         # 12 significant digits survive a round trip at that precision
         value = text.splitlines()[1].split(",")[1]
         assert float(value) == pytest.approx(pi.mass[0], rel=1e-11)
+
+
+class TestBatchMeansSE:
+    # Integer batch values: a batch of k copies sums to k times its value
+    # exactly, so each batch mean is that value to the bit.
+    VALUES = np.random.default_rng(5).integers(-50, 50, 32).astype(float)
+
+    def test_constant_batches_give_the_spread_of_their_means(self):
+        samples = np.repeat(self.VALUES, 7)
+        expected = np.std(self.VALUES, ddof=1) / math.sqrt(32)
+        assert batch_means_se(samples) == expected
+
+    @pytest.mark.parametrize("extra", [1, 5, 31])
+    def test_leftover_oldest_samples_are_dropped(self, extra):
+        samples = np.repeat(self.VALUES, 7)
+        older = np.full(extra, 1e6)
+        assert batch_means_se(np.concatenate([older, samples])) == batch_means_se(samples)
+
+    def test_short_series_takes_one_batch_per_sample(self):
+        for size in range(2, 32):
+            samples = self.VALUES[:size]
+            assert batch_means_se(samples) == np.std(samples, ddof=1) / math.sqrt(size), size
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_samples_refused(self, size):
+        with pytest.raises(ValueError, match="two samples"):
+            batch_means_se(np.ones(size))

@@ -330,14 +330,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and "--truncation" in err
 
-    def test_exact_near_critical_large_pool(self, tmp_path):
-        # N = 20,000 at load 0.99: the window [18,578, 23,764] solves in
-        # about a second; on the full lattice 0..K the solve took 2.7 GB.
-        n, mu = 20_000, 1 / 5.3
-        lam = 0.99 * n * mu
+    @staticmethod
+    def exact_child(tmp_path, n, lam, mu):
+        """Run ``exact`` at (n, lam, mu) in a child process; check its exit,
+        residual and flow balance, and return (states, peak RSS in KiB)."""
         out = tmp_path / "exact.json"
         argv = [sys.executable, "-m", "midnightq.cli", "exact", "--n", str(n),
-                "--lambda", repr(lam), "--mean-los", "5.3", "--format", "json",
+                "--lambda", repr(lam), "--mu", repr(mu), "--format", "json",
                 "--out", str(out)]
         env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
         with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE) as proc:
@@ -347,13 +346,31 @@ class TestCommands:
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
         assert proc.returncode == 0, err
-        assert usage.ru_maxrss < 2**20  # KiB: 1 GiB
         result = json.loads(out.read_text())
         states = np.asarray(result["states"])
         pi = np.asarray(result["probabilities"])
         assert np.array_equal(states, np.arange(pi.size))
         assert result["residual"] <= 1e-12
         assert abs(lam - mu * float(np.minimum(states, n) @ pi)) <= 1e-8
+        return states, usage.ru_maxrss
+
+    def test_exact_near_critical_large_pool(self, tmp_path):
+        # N = 20,000 at load 0.99: the window [18,578, 23,764] solves in
+        # about a second; on the full lattice 0..K the solve took 2.7 GB.
+        n, mu = 20_000, 1 / 5.3
+        _, rss = self.exact_child(tmp_path, n, 0.99 * n * mu, mu)
+        assert rss < 2**20  # KiB: 1 GiB
+
+    @pytest.mark.parametrize("n, lam, mu, top", [
+        (20_000, 0.5 * 20_000 / 5.3, 1 / 5.3, 11_260), (100_000, 100.0, 0.5, 380),
+    ])
+    def test_exact_low_load_window_ends_below_n(self, tmp_path, n, lam, mu, top):
+        # Where the law lives far below N, a lower busy level bounds the
+        # count: K = N + 58 took 20 s and 650 MiB at N = 20,000, load 0.5,
+        # and K = N + 7 was refused at N = 10^5 (a 38 GiB banded LU).
+        states, rss = self.exact_child(tmp_path, n, lam, mu)
+        assert states[-1] == top
+        assert rss < 300 * 2**10  # KiB: 300 MiB
 
     @pytest.mark.parametrize(
         "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]

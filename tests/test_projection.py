@@ -152,6 +152,26 @@ def small_setup(params, m=64, quad_order=16, tail_order=24):
     return d, mu, r, basis, kernel, system
 
 
+def dou_setup(m):
+    """(reference, kernel, basis of ``m`` elements) of the always-pulled
+    recursion, whose exact stationary Gaussian is the reference: the true
+    ratio is identically one."""
+    theta, sigma2, mu = -1.0, 4.0, 0.5
+    dou = dou_stationary_density(theta, sigma2, mu)
+    d = DiffusionParams(
+        drift=theta,
+        variance=sigma2,
+        tail_rate=0.5,
+        gaussian_center=dou.mean,
+        ou_variance=dou.variance,
+    )
+    kernel = TransitionKernel(d, mu, ou_everywhere=True)
+    lo, hi = dou.mean - 6 * dou.sd, dou.mean + 6 * dou.sd
+    h = (hi - lo) / m
+    lo = -round(-lo / h) * h
+    return dou, kernel, build_basis(lo, lo + m * h, m)
+
+
 class TestBuildBasis:
     def test_uniform_integer_grid(self):
         basis = build_basis(-10, 10, 20)
@@ -418,6 +438,33 @@ class TestAssembleGram:
         ok = (rhs_diff <= 1e-9 * np.abs(base.rhs)) | (rhs_diff <= rhs_noise)
         assert ok.all()
 
+    @pytest.mark.parametrize("m", [64, 160])
+    @pytest.mark.parametrize("name", ["params_small", "params_large"])
+    def test_nodes_are_the_ones_the_budget_counts(self, request, monkeypatch, name, m):
+        # Each tail takes _REACH_SD panels of _TAIL_ORDER nodes, always:
+        # q = 16 m + 480, the q of the refusal's 8 (m + 1) (q + 2 m + 2) bytes.
+        params = request.getfixturevalue(name)
+        counted = []
+        monkeypatch.setattr(projection, "_check_budget", lambda needed, *_: counted.append(needed))
+        d = derive_diffusion_params(params)
+        _, system, _ = project_stationary_density(d, params.daily_service_prob, num_elements=m)
+        (needed,) = counted
+        assert system.quad_x.size == 16 * m + 480 == needed // (8 * (m + 1)) - 2 * m - 2
+
+    @pytest.mark.parametrize("m", [64, 160])
+    def test_dou_reference_takes_the_same_nodes(self, m):
+        dou, kernel, basis = dou_setup(m)
+        assert assemble_gram(basis, kernel, dou).quad_x.size == 16 * m + 480
+
+    def test_reference_need_not_have_a_cdf(self, params_small):
+        # The proxy's cdf is never read: a bare callable assembles the same bits.
+        *_, r, basis, kernel, system = small_setup(params_small)
+        bare = assemble_gram(basis, kernel, lambda x: r(x))
+        for field in ("matrix", "rhs", "quad_x", "quad_w"):
+            assert same_bits(getattr(bare, field), getattr(system, field)), field
+        assert (bare.e_mass, bare.n_core, bare.rhs_scale) == (
+            system.e_mass, system.n_core, system.rhs_scale)
+
     def test_overflowing_reference_names_element(self, params_small):
         d = derive_diffusion_params(params_small)
         basis = default_basis(d, 16)
@@ -527,23 +574,7 @@ class TestReconstruction:
         assert np.all(density >= 0.0)
 
     def test_dou_reference_recovers_unit_ratio(self):
-        # Always-pulled kernel with its exact stationary Gaussian as the
-        # reference: the true ratio is identically one.
-        theta, sigma2, mu = -1.0, 4.0, 0.5
-        dou = dou_stationary_density(theta, sigma2, mu)
-        d = DiffusionParams(
-            drift=theta,
-            variance=sigma2,
-            tail_rate=0.5,
-            gaussian_center=dou.mean,
-            ou_variance=dou.variance,
-        )
-        kernel = TransitionKernel(d, mu, ou_everywhere=True)
-        m = 64
-        lo, hi = dou.mean - 6 * dou.sd, dou.mean + 6 * dou.sd
-        h = (hi - lo) / m
-        lo = -round(-lo / h) * h
-        basis = build_basis(lo, lo + m * h, m)
+        dou, kernel, basis = dou_setup(64)
         system = assemble_gram(basis, kernel, dou)
         recon = RatioReconstruction(system)
         grid = np.linspace(dou.mean - 3 * dou.sd, dou.mean + 3 * dou.sd, 241)
