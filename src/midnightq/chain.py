@@ -529,96 +529,95 @@ def stationary_window(p: ModelParams) -> tuple[int, int]:
 
 
 def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
-    """``build_kernel`` on ``stationary_window``, K set by ``truncation`` (>= N) if given."""
+    """``build_kernel`` on ``stationary_window``, K set by ``truncation`` if given.
+
+    Refuses a ``truncation`` below min(N, K): at low load the default K is
+    below N, and any K above it also bounds the stationary count.
+    """
     lower, top = stationary_window(p)
-    if truncation is not None and truncation < p.n_servers:
-        raise ValueError(f"--truncation {truncation} is below the server count {p.n_servers}")
-    return build_kernel(p, top if truncation is None else truncation, lower)
+    if truncation is None:
+        truncation = top
+    elif truncation < min(p.n_servers, top):
+        floor = (f"the server count {p.n_servers}" if p.n_servers <= top
+                 else f"the default top {top}")
+        raise ValueError(f"--truncation {truncation} is below {floor}")
+    return build_kernel(p, truncation, lower)
 
 
-def _transient_window(p: ModelParams, horizon: int, x0: int) -> tuple[int, int]:
-    """States [L, K] that the count from ``x0`` stays in for ``horizon`` days.
+def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
+    """States [L, K] that the count from a full system, x0 = N, stays in
+    for ``horizon`` days.
 
     Below: with infinitely many servers every customer leaves each day with
     probability mu, and a coupling of departures keeps the count above that
-    system's: with q = 1 - mu, X_s >=st Binomial(x0, q^s) + Poisson(lam (1
-    - q^s) / mu).  L is the least ``_floor_of`` that law over the days s <=
+    system's: with q = 1 - mu, X_s >=st Binomial(N, q^s) + Poisson(lam (1 -
+    q^s) / mu).  L is the least ``_floor_of`` that law over the days s <=
     horizon, so each day the count is below L with probability at most
-    ``_TAIL``.  It never falls faster than N a day, either.
+    ``_TAIL``.
 
     Above: no day steps up by more than the reach ``ku`` of row L, so the
-    count never passes x0 + horizon * ku.  Also, a day from x moves the
+    count never passes N + horizon * ku.  Also, a day from x moves the
     count at most as far as a day from max(x, N) when the servers share
     their departure draws, so X_s - N is at most the walk W_s = max(W_{s-1},
-    0) + xi_s from x0 - N with saturated steps xi.  Unrolled, W_s exceeds
-    (x0 - N)+ + r only if some sum of 1..s consecutive steps exceeds r.
-    ``_saturated_rise`` bounds each of these horizon (horizon + 3) / 2
-    sums at level ``_TAIL`` / (horizon + 3), so the count passes max(x0,
-    N) + r with probability at most horizon * ``_TAIL`` / 2.  K is the
-    smaller bound, but at least x0: at low load r can be negative.
+    0) + xi_s from 0 with saturated steps xi.  Unrolled, W_s exceeds r only
+    if some sum of 1..s consecutive steps exceeds r.  ``_saturated_rise``
+    bounds each of these horizon (horizon + 3) / 2 sums at level ``_TAIL`` /
+    (horizon + 3), so the count passes N + r with probability at most
+    horizon * ``_TAIL`` / 2.  K is the smaller bound, but at least N: at low
+    load r can be negative.
     """
     n = p.n_servers
     lam = p.daily_arrival_rate
     mu = p.daily_service_prob
     log_keep = math.log1p(-mu)
-    lower = x0
+    lower = n
     for s in range(1, horizon + 1):
         survive = math.exp(s * log_keep)
         arrived = _arrival_window(-lam * math.expm1(s * log_keep) / mu)
-        if x0 * survive < _TAIL:
+        if n * survive < _TAIL:
             # Every later day's law is >=st this Poisson law, whose mean
             # only grows with s.
             lower = min(lower, _floor_of(arrived))
             break
-        lower = min(lower, _floor_of(_binomial_window(x0, survive), arrived))
-    lower = max(lower, x0 - horizon * n)  # no day has more than N departures
-    top = min(
-        x0 + horizon * _reaches(_step_law(min(lower, n), mu, _arrival_window(lam)))[1],
-        max(x0, n) + _saturated_rise(p, horizon, _TAIL / (horizon + 3)),
-    )
-    return lower, max(top, x0)
+        lower = min(lower, _floor_of(_binomial_window(n, survive), arrived))
+    reach = horizon * _reaches(_step_law(lower, mu, _arrival_window(lam)))[1]
+    rise = _saturated_rise(p, horizon, _TAIL / (horizon + 3))
+    return lower, n + max(min(reach, rise), 0)
 
 
-def transient_pmf(p: ModelParams, horizon: int, x0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of the count ``horizon`` days after starting at ``x0``.
+def transient_pmf(p: ModelParams, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the count ``horizon`` days after a full system, x0 = N.
 
     Returns ``(states, mass)``.  The banded kernel on the window of
-    ``_transient_window`` steps the point mass at x0 ``horizon`` times.
+    ``_transient_window`` steps the point mass at N ``horizon`` times.
     The count leaves the window within the horizon with probability at
     most 1.5 horizon 2^-60, and each day's kernel drops less than 2^-59 of
     mass, so the law is exact to within horizon 2^-58 in total variation.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon!r}")
-    x0 = int(x0)
-    if x0 < 0:
-        raise ValueError(f"x0 must be nonnegative, got {x0!r}")
+    n = p.n_servers
     if horizon == 0:
-        return np.array([x0]), np.ones(1)
-    lower, top = _transient_window(p, horizon, x0)
+        return np.array([n]), np.ones(1)
+    lower, top = _transient_window(p, horizon)
     kernel = build_kernel(p, top, lower)
     pi = np.zeros(top - lower + 1)
-    pi[x0 - lower] = 1.0
+    pi[n - lower] = 1.0
     for _ in range(horizon):
         pi = kernel.step(pi)
     return kernel.states, pi
 
 
-def simulate_replications(
-    p: ModelParams,
-    horizon: int,
-    n_paths: int,
-    seed,
-    x0: int | None = None,
-) -> np.ndarray:
-    """Final-day counts of ``n_paths`` independent replications.
+def simulate_replications(p: ModelParams, horizon: int, n_paths: int, seed) -> np.ndarray:
+    """Final-day counts of ``n_paths`` independent replications from a full
+    system.
 
     Each count inverts the CDF of the exact day-``horizon`` law
     (``transient_pmf``) at one uniform of the seeded stream.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    states, mass = transient_pmf(p, horizon, p.n_servers if x0 is None else x0)
+    states, mass = transient_pmf(p, horizon)
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
     return states[np.searchsorted(cdf, _path_rng(seed).random(n_paths), side="right")]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compare import compare_methods
-from .model import ModelParams, UnstableRegimeError, derive_diffusion_params
+from .model import ModelParams, UnstableRegimeError, derive_diffusion_params, service_prob_of
 from . import chain as chain_mod
 from . import diffusion as diff_mod
 from . import projection as proj_mod
@@ -61,15 +61,13 @@ class RunConfig:
     def model_params(self) -> ModelParams:
         if self.sizes is None or self.lam is None:
             raise ValueError("--n and --lambda are required for this command")
-        if self.mean_los is not None:
-            return ModelParams.from_mean_los(self.n, self.lam, self.mean_los)
         return ModelParams(self.n, self.lam, self.service_prob())
 
     def service_prob(self) -> float:
         if self.mu is not None:
             return self.mu
         if self.mean_los is not None:
-            return 1.0 / self.mean_los
+            return service_prob_of(self.mean_los)
         raise ValueError("one of --mu or --mean-los is required")
 
 

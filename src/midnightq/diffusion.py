@@ -334,9 +334,7 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     for n, child in zip(cfg.system_sizes, root.spawn(len(cfg.system_sizes))):
         pre_seed, lim_seed = child.spawn(2)
         params = ModelParams(n, cfg.arrival_rate(n), mu)
-        finals = chain_mod.simulate_replications(
-            params, cfg.horizon, cfg.replications, seed=pre_seed, x0=n
-        )
+        finals = chain_mod.simulate_replications(params, cfg.horizon, cfg.replications, pre_seed)
         scaled = (finals - n) / math.sqrt(n)
         limit = _simulate_limit_recursion(
             mu, limit_drift, limit_variance, cfg.horizon, cfg.replications, lim_seed

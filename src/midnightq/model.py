@@ -63,9 +63,15 @@ class ModelParams:
     @classmethod
     def from_mean_los(cls, n_servers: int, daily_arrival_rate: float, mean_los: float) -> ModelParams:
         """Build params from the mean length of stay instead of the daily rate."""
-        if not math.isfinite(mean_los) or mean_los <= 1.0:
-            raise ValueError(f"mean_los must exceed 1 day, got {mean_los!r}")
-        return cls(n_servers, daily_arrival_rate, 1.0 / mean_los)
+        return cls(n_servers, daily_arrival_rate, service_prob_of(mean_los))
+
+
+def service_prob_of(mean_los: float) -> float:
+    """The daily service probability 1 / ``mean_los``; refuses a mean stay
+    of 1 day or less with ValueError."""
+    if not math.isfinite(mean_los) or mean_los <= 1.0:
+        raise ValueError(f"mean_los must exceed 1 day, got {mean_los!r}")
+    return 1.0 / mean_los
 
 
 @dataclass(frozen=True)

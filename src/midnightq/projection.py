@@ -38,9 +38,11 @@ _CHUNK = 512
 _REACH_SD = 10
 # Residual a Gram solve may leave, relative to the norm of its right-hand side.
 _REL_TOL = 1e-8
-# Gauss-Legendre nodes per element and per tail panel of the Gram quadrature.
+# Gauss-Legendre nodes per element and per tail panel of the Gram quadrature,
+# and per panel of a bin mass.
 _QUAD_ORDER = 16
 _TAIL_ORDER = 24
+_BIN_ORDER = 8
 
 
 class GramError(RuntimeError):
@@ -281,28 +283,22 @@ class GramSystem:
     basis: FemBasis
     quad_x: np.ndarray
     quad_w: np.ndarray
-    e_mass: float
     n_core: int
     rhs_scale: float = 1.0
 
 
-def assemble_gram(
-    basis: FemBasis,
-    kernel: TransitionKernel,
-    r,
-    quad_order: int = _QUAD_ORDER,
-    tail_order: int = _TAIL_ORDER,
-) -> GramSystem:
+def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     """Assemble the r-weighted normal equations of the projection.
 
-    The reference density ``r`` need only be callable.  Each semi-infinite
-    tail beyond the grid is integrated by ``_REACH_SD`` composite
-    Gauss-Legendre panels, one kernel-step standard deviation long each,
+    The reference density ``r`` need only be callable.  Each element takes
+    ``_QUAD_ORDER`` Gauss-Legendre nodes.  Each semi-infinite tail beyond
+    the grid is integrated by ``_REACH_SD`` composite panels of
+    ``_TAIL_ORDER`` nodes, one kernel-step standard deviation long each,
     the reach of a point's hat window (``_pf_band``).  Past the upper
     panels a step starts that far above the grid, less the drift; past the
     lower ones the reference's Gaussian tail is negligible.
     """
-    u, wu = _gauss_legendre01(quad_order)
+    u, wu = _gauss_legendre01(_QUAD_ORDER)
     t = basis.nodes
     h = basis.width
     core_x = (t[:-1, None] + h * u[None, :]).ravel()
@@ -310,11 +306,11 @@ def assemble_gram(
     if not np.isfinite(core_w).all():
         bad = int(np.argmin(np.isfinite(core_w)))
         raise GramError(
-            f"non-finite reference weight in element {bad // quad_order} "
+            f"non-finite reference weight in element {bad // _QUAD_ORDER} "
             f"(x={core_x[bad]!r})"
         )
 
-    ut, wut = _gauss_legendre01(tail_order)
+    ut, wut = _gauss_legendre01(_TAIL_ORDER)
     step_sd = kernel.step_law(0.0)[1]  # the same from every state
     xs = [core_x]
     ws = [core_w]
@@ -349,7 +345,6 @@ def assemble_gram(
         basis=basis,
         quad_x=quad_x,
         quad_w=quad_w,
-        e_mass=float(quad_w.sum()),
         n_core=core_x.size,
         # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, in L f's memory.
         rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=lf).T, root_w, trans=1))),
@@ -407,9 +402,8 @@ class RatioReconstruction:
         alpha, self.residual = solve_gram(system)
         self._system = system
         self.alpha = alpha
-        norm_sq = float(
-            system.e_mass - 2.0 * alpha @ system.rhs + alpha @ dsymv(1.0, system.matrix, alpha)
-        )
+        one = float(system.quad_w.sum())  # the constant function's squared norm
+        norm_sq = float(one - 2.0 * alpha @ system.rhs + alpha @ dsymv(1.0, system.matrix, alpha))
         if norm_sq <= 0.0:
             raise GramError(
                 "projection captured the constant function (nonpositive remainder norm)"
@@ -458,21 +452,21 @@ class RatioReconstruction:
         clipped = float(w @ np.clip(-q, 0.0, None))
         return raw, clipped
 
-    def bin_masses(self, edges: np.ndarray, points_per_bin: int = 8) -> np.ndarray:
+    def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Per-bin integrals of the clipped density.
 
         The density has derivative kinks at every basis node, so each bin is
-        split there before applying the fixed-order panel rule; every panel
-        then integrates a smooth piece.
+        split there before applying the ``_BIN_ORDER``-point Gauss-Legendre
+        panel rule; every panel then integrates a smooth piece.
         """
         edges = np.asarray(edges, dtype=float)
         nodes = self._system.basis.nodes
         interior = nodes[(nodes > edges[0]) & (nodes < edges[-1])]
         cuts = np.unique(np.concatenate([edges, interior]))
-        u, wu = _gauss_legendre01(points_per_bin)
+        u, wu = _gauss_legendre01(_BIN_ORDER)
         widths = np.diff(cuts)
         x = (cuts[:-1, None] + widths[:, None] * u[None, :]).ravel()
-        vals = np.clip(self.density(x), 0.0, None).reshape(-1, points_per_bin)
+        vals = np.clip(self.density(x), 0.0, None).reshape(-1, _BIN_ORDER)
         panel = widths * _combine_rows(wu, vals.T)
         masses = np.zeros(edges.size - 1)
         np.add.at(masses, np.searchsorted(edges, cuts[:-1], side="right") - 1, panel)

@@ -214,7 +214,7 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("n, lam, mu, k_max, lower", [
         (2000, 0.5 * 2000 / 5.3, 1 / 5.3, None, None),  # the stationary window
-        (100_000, 100.0, 0.5, 2000, 0),  # 10 days from x = 0 (_transient_window)
+        (100_000, 100.0, 0.5, 2000, 0),  # a window [0, 2000] set by hand
     ])
     def test_window_below_n_takes_kl_from_its_top_row(self, n, lam, mu, k_max, lower):
         # No row of a window whose top K is below N has more than K busy
@@ -534,18 +534,13 @@ class TestSimulatePath:
         zero = simulate_replications(params_small, 0, 11, seed=1)
         assert np.all(zero == params_small.n_servers)
 
-    def test_replications_refuse_negative_start(self, params_small):
-        for horizon in (0, 3):
-            with pytest.raises(ValueError, match="x0"):
-                simulate_replications(params_small, horizon, 3, seed=1, x0=-5)
-
     def test_replications_follow_transient_law(self):
         # Each final count inverts the exact law's CDF at its own uniform, so
         # the counts are multinomial on that law.
         p = limit_params(100)
         reps = 100_000
         finals = simulate_replications(p, 10, reps, seed=5)
-        states, mass = transient_pmf(p, 10, 100)
+        states, mass = transient_pmf(p, 10)
         freq = np.bincount(finals - states[0], minlength=mass.size) / reps
         expected_tv = float(np.sqrt(mass * (1 - mass) / (2 * math.pi * reps)).sum())
         assert tv(freq, mass) <= 4 * expected_tv
@@ -565,20 +560,31 @@ def limit_params(n: int) -> ModelParams:
     return ModelParams(n, n * mu * (1.0 - 1.0 / math.sqrt(n)), mu)
 
 
-def transient_oracle(p: ModelParams, horizon: int, x0: int) -> np.ndarray:
-    """Law of the count after ``horizon`` days from x0, on 0..top.
+def transient_system(n: int, case: int) -> ModelParams:
+    """System ``case`` of size n, run from a full start: 0 at load 0.2 with
+    mu = 0.6, where at N = 400 the saturated step falls so fast that the
+    rise bound is negative and K = N; 1 the limit harness's; 2 at load 1.2
+    and 3 at load 0.5, mean stay 5.3."""
+    if case == 1:
+        return limit_params(n)
+    load, mu = {0: (0.2, 0.6), 2: (1.2, 1 / 5.3), 3: (0.5, 1 / 5.3)}[case]
+    return ModelParams(n, load * n * mu, mu)
+
+
+def transient_oracle(p: ModelParams, horizon: int) -> np.ndarray:
+    """Law of the count after ``horizon`` days from a full system, on 0..top.
 
     Survivors of min(x, N) busy servers are Binomial(min(x, N), 1 - mu), the
     waiting x - N stay, and Poisson(lambda) arrive; top lies past every
     count that a day's arrivals reach with mass above 1e-30.
     """
     n, lam, keep = p.n_servers, p.daily_arrival_rate, 1.0 - p.daily_service_prob
-    top = max(x0, n) + horizon * math.ceil(lam + 15 * math.sqrt(lam) + 40)
+    top = n + horizon * math.ceil(lam + 15 * math.sqrt(lam) + 40)
     idle = stats.binom.pmf(np.arange(n)[None, :], np.arange(n)[:, None], keep)
     saturated = stats.binom.pmf(np.arange(n + 1), n, keep)
     arrivals = stats.poisson.pmf(np.arange(top + 1), lam)
     pi = np.zeros(top + 1)
-    pi[x0] = 1.0
+    pi[n] = 1.0
     for _ in range(horizon):
         survivors = np.zeros(top + 1)
         survivors[:n] = pi[:n] @ idle
@@ -589,30 +595,26 @@ def transient_oracle(p: ModelParams, horizon: int, x0: int) -> np.ndarray:
 
 class TestTransientPMF:
     @pytest.mark.parametrize("n", [25, 100, 400])
-    @pytest.mark.parametrize("start", [0, 1, 2])
+    @pytest.mark.parametrize("case", [0, 1, 2])
     @pytest.mark.parametrize("horizon", [1, 10])
-    def test_matches_scipy_operator(self, n, start, horizon):
-        p = limit_params(n)
-        x0 = start * n
-        states, mass = transient_pmf(p, horizon, x0)
-        if (n, start, horizon) == (100, 2, 1):
-            assert states[0] > n  # the window starts above the server count
-        oracle = transient_oracle(p, horizon, x0)
+    def test_matches_scipy_operator(self, n, case, horizon):
+        p = transient_system(n, case)
+        states, mass = transient_pmf(p, horizon)
+        oracle = transient_oracle(p, horizon)
         assert states[-1] < oracle.size
         ours = np.zeros(oracle.size)
         ours[states] = mass
         assert tv(ours, oracle) <= 1e-12
 
     @pytest.mark.parametrize("n", [100, 400])
-    @pytest.mark.parametrize("which", range(4))
-    def test_count_stays_in_window_every_day(self, n, which):
+    @pytest.mark.parametrize("case", range(4))
+    def test_count_stays_in_window_every_day(self, n, case):
         # The window must hold the count on each day up to the horizon, not
-        # only on the last: from 1 the count rises past N / 2 by day 10.
-        p = limit_params(n)
-        x0 = [0, 1, n, 2 * n][which]
-        states, _ = transient_pmf(p, 10, x0)
+        # only on the last.
+        p = transient_system(n, case)
+        states, _ = transient_pmf(p, 10)
         for horizon in range(11):
-            law = transient_oracle(p, horizon, x0)
+            law = transient_oracle(p, horizon)
             assert law[: states[0]].sum() <= 2.0**-55, horizon
             assert law[states[-1] + 1 :].sum() <= 2.0**-55, horizon
 
@@ -620,7 +622,7 @@ class TestTransientPMF:
     def test_window_ends_hold_no_mass(self, n):
         # From a full system, the window cut below (L > 0 from N = 100 on)
         # and above holds at most 2^-50 at either end.
-        states, mass = transient_pmf(limit_params(n), 10, n)
+        states, mass = transient_pmf(limit_params(n), 10)
         if n >= 100:
             assert states[0] > 0
         if states[0] > 0:
@@ -632,24 +634,22 @@ class TestTransientPMF:
     def test_window_holds_a_start_above_its_bound(self, horizon):
         # At load 0.2 with mu = 0.6 the saturated step falls by 192 a day
         # with sd 12, so the bound on the rise is negative: no day ends above
-        # x0 - 74, yet the window must still hold the start.
+        # N - 74, yet the window must still hold the start N.
         p = ModelParams(400, 48.0, 0.6)
-        states, mass = transient_pmf(p, horizon, 450)
-        assert states[-1] == 450
-        oracle = transient_oracle(p, horizon, 450)
+        states, mass = transient_pmf(p, horizon)
+        assert states[-1] == 400
+        oracle = transient_oracle(p, horizon)
         ours = np.zeros(oracle.size)
         ours[states] = mass
         assert tv(ours, oracle) <= 1e-12
 
     def test_zero_horizon_is_the_start(self, params_small):
-        states, mass = transient_pmf(params_small, 0, 7)
-        assert states.tolist() == [7] and mass.tolist() == [1.0]
+        states, mass = transient_pmf(params_small, 0)
+        assert states.tolist() == [params_small.n_servers] and mass.tolist() == [1.0]
 
-    def test_refuses_negative_start_and_horizon(self, params_small):
-        with pytest.raises(ValueError, match="x0"):
-            transient_pmf(params_small, 2, -1)
+    def test_refuses_negative_horizon(self, params_small):
         with pytest.raises(ValueError, match="horizon"):
-            transient_pmf(params_small, -1, 3)
+            transient_pmf(params_small, -1)
 
 
 class TestSerialization:

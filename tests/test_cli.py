@@ -317,6 +317,29 @@ class TestCommands:
             "invalid configuration: --truncation 10 is below the server count 66\n"
         )
 
+    @pytest.mark.parametrize("truncation, status", [("1000", 0), ("379", 2)])
+    def test_truncation_at_low_load_may_be_below_n(self, truncation, status, capsys):
+        # At N = 10^5, lambda = 100, mu = 0.5 the default window is [89, 380]:
+        # any K from 380 up bounds the count too, though it is below N.
+        args = ["exact", "--n", "100000", "--lambda", "100", "--mu", "0.5", "--format", "json"]
+        assert main([*args, "--truncation", truncation]) == status
+        captured = capsys.readouterr()
+        if status == 2:
+            assert captured.err == (
+                "invalid configuration: --truncation 379 is below the default top 380\n"
+            )
+        else:
+            result = json.loads(captured.out)
+            assert result["states"][-1] == 1000 and result["residual"] <= 1e-12
+
+    @pytest.mark.parametrize("mean_los", ["0.5", "1"])
+    def test_limit_check_refuses_mean_los_as_exact_does(self, mean_los, capsys):
+        assert main(["exact", *SMALL_ARGS[:4], "--mean-los", mean_los]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("invalid configuration: mean_los must exceed 1 day")
+        assert main(["limit-check", "--n", "25,100", "--mean-los", mean_los, "--steps", "2"]) == 2
+        assert capsys.readouterr().err == expected
+
     @pytest.mark.parametrize("truncation", ["100", "1000000000"])
     def test_refused_compare_truncation_never_projects(self, truncation, monkeypatch, capsys):
         # Below the server count, and a banded LU of terabytes at load 0.999.

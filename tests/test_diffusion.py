@@ -232,7 +232,7 @@ class TestLimitHarness:
         n, reps = 100, 200_000
         cfg = LimitHarnessConfig((n,), 1, reps, mu, beta_star=beta, seed=4)
         p = ModelParams(n, cfg.arrival_rate(n), mu)
-        finals = simulate_replications(p, 1, reps, seed=8, x0=n)
+        finals = simulate_replications(p, 1, reps, seed=8)
         scaled = (finals - n) / math.sqrt(n)
         se = scaled.std() / math.sqrt(reps)
         assert abs(scaled.mean() - (-mu * beta)) <= 3 * se

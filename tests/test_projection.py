@@ -69,11 +69,11 @@ def system_lf(system):
 def band_bound(system, lf):
     """Bound on |G_ij - dense G_ij| when each entry of ``lf``, the system's
     L f, is within Phi(-Z) of its dense value: Phi(-Z) (s_i + s_j + Phi(-Z)
-    e_mass), s_i = sum w |lf_i|.
+    sum w), s_i = sum w |lf_i|.
     """
     delta = ndtr(-REACH_SD)
     s = np.abs(lf) @ system.quad_w
-    return delta * (s[:, None] + s[None, :] + delta * system.e_mass)
+    return delta * (s[:, None] + s[None, :] + delta * system.quad_w.sum())
 
 
 def _pf_hats(t, h, means, sd):
@@ -142,13 +142,13 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def small_setup(params, m=64, quad_order=16, tail_order=24):
+def small_setup(params, m=64):
     d = derive_diffusion_params(params)
     mu = params.daily_service_prob
     r = proxy_density(d, mu)
     basis = default_basis(d, m)
     kernel = TransitionKernel(d, mu)
-    system = assemble_gram(basis, kernel, r, quad_order=quad_order, tail_order=tail_order)
+    system = assemble_gram(basis, kernel, r)
     return d, mu, r, basis, kernel, system
 
 
@@ -413,11 +413,14 @@ class TestAssembleGram:
         dense = weighted @ weighted.T
         assert np.abs(a - dense).max() <= 1e-14 * np.abs(dense).max()
 
-    def test_quadrature_refinement_is_converged(self, params_small):
+    def test_quadrature_refinement_is_converged(self, params_small, monkeypatch):
         # Every entry either moves by < 1e-9 relative under doubled orders or
         # sits at the float64 roundoff floor of its own absolute-value sums.
-        *_, base = small_setup(params_small, m=64, quad_order=16, tail_order=24)
-        *_, fine = small_setup(params_small, m=64, quad_order=32, tail_order=48)
+        *_, base = small_setup(params_small, m=64)
+        monkeypatch.setattr(projection, "_QUAD_ORDER", 2 * projection._QUAD_ORDER)
+        monkeypatch.setattr(projection, "_TAIL_ORDER", 2 * projection._TAIL_ORDER)
+        *_, fine = small_setup(params_small, m=64)
+        assert fine.quad_x.size == 32 * 64 + 2 * 10 * 48
         eps = np.finfo(float).eps
 
         lf = system_lf(base)
@@ -451,6 +454,20 @@ class TestAssembleGram:
         (needed,) = counted
         assert system.quad_x.size == 16 * m + 480 == needed // (8 * (m + 1)) - 2 * m - 2
 
+    def test_quadrature_orders_are_read_in_one_place(self, params_small, monkeypatch):
+        # The assembly, its budget refusal and n_core all follow the two
+        # module constants: q = 8 m + 2 * 10 * 12 at orders 8 and 12.
+        counted = []
+        monkeypatch.setattr(projection, "_check_budget", lambda needed, *_: counted.append(needed))
+        monkeypatch.setattr(projection, "_QUAD_ORDER", 8)
+        monkeypatch.setattr(projection, "_TAIL_ORDER", 12)
+        d = derive_diffusion_params(params_small)
+        m = 64
+        _, system, _ = project_stationary_density(d, params_small.daily_service_prob, num_elements=m)
+        (needed,) = counted
+        assert system.quad_x.size == 8 * m + 240 == needed // (8 * (m + 1)) - 2 * m - 2
+        assert system.n_core == 8 * m
+
     @pytest.mark.parametrize("m", [64, 160])
     def test_dou_reference_takes_the_same_nodes(self, m):
         dou, kernel, basis = dou_setup(m)
@@ -462,8 +479,7 @@ class TestAssembleGram:
         bare = assemble_gram(basis, kernel, lambda x: r(x))
         for field in ("matrix", "rhs", "quad_x", "quad_w"):
             assert same_bits(getattr(bare, field), getattr(system, field)), field
-        assert (bare.e_mass, bare.n_core, bare.rhs_scale) == (
-            system.e_mass, system.n_core, system.rhs_scale)
+        assert (bare.n_core, bare.rhs_scale) == (system.n_core, system.rhs_scale)
 
     def test_overflowing_reference_names_element(self, params_small):
         d = derive_diffusion_params(params_small)
@@ -487,7 +503,6 @@ def synthetic_system(matrix, rhs, rhs_scale=1.0):
         basis=None,
         quad_x=np.zeros(0),
         quad_w=np.zeros(0),
-        e_mass=1.0,
         n_core=0,
         rhs_scale=rhs_scale,
     )
@@ -580,12 +595,13 @@ class TestReconstruction:
         grid = np.linspace(dou.mean - 3 * dou.sd, dou.mean + 3 * dou.sd, 241)
         assert np.abs(recon.ratio(grid) - 1.0).max() <= 0.05
 
-    def test_bin_masses_converged_and_match_quadrature(self, params_small):
+    def test_bin_masses_converged_and_match_quadrature(self, params_small, monkeypatch):
         d, mu, r, basis, kernel, system = small_setup(params_small, m=96)
         recon = RatioReconstruction(system)
         edges = np.arange(-20.5, 60.5)
-        coarse = recon.bin_masses(edges, points_per_bin=8)
-        fine = recon.bin_masses(edges, points_per_bin=64)
+        coarse = recon.bin_masses(edges)
+        monkeypatch.setattr(projection, "_BIN_ORDER", 64)
+        fine = recon.bin_masses(edges)
         assert abs(coarse.sum() - fine.sum()) <= 1e-10
         # independent adaptive quadrature on one interior bin
         a, b = 2.5, 3.5
