@@ -555,16 +555,14 @@ def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
     horizon, so each day the count is below L with probability at most
     ``_TAIL``.
 
-    Above: no day steps up by more than the reach ``ku`` of row L, so the
-    count never passes N + horizon * ku.  Also, a day from x moves the
-    count at most as far as a day from max(x, N) when the servers share
-    their departure draws, so X_s - N is at most the walk W_s = max(W_{s-1},
-    0) + xi_s from 0 with saturated steps xi.  Unrolled, W_s exceeds r only
-    if some sum of 1..s consecutive steps exceeds r.  ``_saturated_rise``
-    bounds each of these horizon (horizon + 3) / 2 sums at level ``_TAIL`` /
-    (horizon + 3), so the count passes N + r with probability at most
-    horizon * ``_TAIL`` / 2.  K is the smaller bound, but at least N: at low
-    load r can be negative.
+    Above: a day from x moves the count at most as far as a day from max(x,
+    N) when the servers share their departure draws, so X_s - N is at most
+    the walk W_s = max(W_{s-1}, 0) + xi_s from 0 with saturated steps xi.
+    Unrolled, W_s exceeds r only if some sum of 1..s consecutive steps
+    exceeds r.  ``_saturated_rise`` bounds each of these horizon (horizon +
+    3) / 2 sums at level ``_TAIL`` / (horizon + 3), so the count passes N +
+    r with probability at most horizon * ``_TAIL`` / 2.  K is N + r, but at
+    least N: at low load r can be negative.
     """
     n = p.n_servers
     lam = p.daily_arrival_rate
@@ -580,9 +578,8 @@ def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
             lower = min(lower, _floor_of(arrived))
             break
         lower = min(lower, _floor_of(_binomial_window(n, survive), arrived))
-    reach = horizon * _reaches(_step_law(lower, mu, _arrival_window(lam)))[1]
     rise = _saturated_rise(p, horizon, _TAIL / (horizon + 3))
-    return lower, n + max(min(reach, rise), 0)
+    return lower, n + max(rise, 0)
 
 
 def transient_pmf(p: ModelParams, horizon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,11 @@ class RunConfig:
         return ModelParams(self.n, self.lam, self.service_prob())
 
     def service_prob(self) -> float:
+        """The daily service probability every command reads, from --mu or
+        --mean-los; a --mu outside (0, 1), or nan, is refused by its flag."""
         if self.mu is not None:
+            if not 0.0 < self.mu < 1.0:
+                raise ValueError(f"--mu must lie in (0, 1), got {self.mu!r}")
             return self.mu
         if self.mean_los is not None:
             return service_prob_of(self.mean_los)

@@ -12,8 +12,8 @@ The test space is a family of piecewise-linear hats on a uniform grid with
 a node pinned at zero, where the kernel's conditional mean has a kink.  The
 inner one-step expectation P f is available in closed form (truncated
 Gaussian moments per linear piece); only the outer r-weighted integrals
-need quadrature: fixed-order Gauss-Legendre per element plus ten composite
-panels, one step sd each, on each semi-infinite tail beyond the grid.
+need quadrature: one Gauss-Legendre rule on each element and on ten panels,
+one step sd each, along each semi-infinite tail beyond the grid.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ _CHUNK = 512
 _REACH_SD = 10
 # Residual a Gram solve may leave, relative to the norm of its right-hand side.
 _REL_TOL = 1e-8
-# Gauss-Legendre nodes per element and per tail panel of the Gram quadrature,
-# and per panel of a bin mass.
-_QUAD_ORDER = 16
-_TAIL_ORDER = 24
-_BIN_ORDER = 8
+# Gauss-Legendre nodes per panel of every integral: the Gram's elements and
+# tail panels, and the pieces of a bin mass.
+_ORDER = 8
 
 
 class GramError(RuntimeError):
@@ -261,9 +259,12 @@ def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     return lf
 
 
-def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+def _panels(left: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_ORDER``-point Gauss-Legendre rule on each
+    panel [left, left + width], ``_ORDER`` consecutive nodes per panel."""
+    u, wu = np.polynomial.legendre.leggauss(_ORDER)
+    width = width[:, None]
+    return (left[:, None] + width * ((u + 1.0) / 2.0)).ravel(), (width * (wu / 2.0)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,47 +284,32 @@ class GramSystem:
     basis: FemBasis
     quad_x: np.ndarray
     quad_w: np.ndarray
-    n_core: int
     rhs_scale: float = 1.0
 
 
 def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     """Assemble the r-weighted normal equations of the projection.
 
-    The reference density ``r`` need only be callable.  Each element takes
-    ``_QUAD_ORDER`` Gauss-Legendre nodes.  Each semi-infinite tail beyond
-    the grid is integrated by ``_REACH_SD`` composite panels of
-    ``_TAIL_ORDER`` nodes, one kernel-step standard deviation long each,
-    the reach of a point's hat window (``_pf_band``).  Past the upper
-    panels a step starts that far above the grid, less the drift; past the
-    lower ones the reference's Gaussian tail is negligible.
+    The reference density ``r`` need only be callable.  ``_panels`` gives
+    the nodes: the m elements come first, then ``_REACH_SD`` panels per
+    semi-infinite tail beyond the grid, one kernel-step standard deviation
+    long each, the reach of a point's hat window (``_pf_band``).  Past the
+    upper panels a step starts that far above the grid, less the drift;
+    past the lower ones the reference's Gaussian tail is negligible.
     """
-    u, wu = _gauss_legendre01(_QUAD_ORDER)
-    t = basis.nodes
-    h = basis.width
-    core_x = (t[:-1, None] + h * u[None, :]).ravel()
-    core_w = (h * np.tile(wu, basis.num_elements)) * np.asarray(r(core_x), dtype=float)
-    if not np.isfinite(core_w).all():
-        bad = int(np.argmin(np.isfinite(core_w)))
-        raise GramError(
-            f"non-finite reference weight in element {bad // _QUAD_ORDER} "
-            f"(x={core_x[bad]!r})"
-        )
-
-    ut, wut = _gauss_legendre01(_TAIL_ORDER)
+    m = basis.num_elements
     step_sd = kernel.step_law(0.0)[1]  # the same from every state
-    xs = [core_x]
-    ws = [core_w]
-    for a, outward in ((basis.grid_lo, -1.0), (basis.grid_hi, +1.0)):
-        for _ in range(_REACH_SD):
-            b = a + outward * step_sd
-            xs.append(a + (b - a) * ut)
-            ws.append(abs(b - a) * wut * np.asarray(r(xs[-1]), dtype=float))
-            a = b
-    quad_x = np.concatenate(xs)
-    quad_w = np.concatenate(ws)
-    if not (np.isfinite(quad_x).all() and np.isfinite(quad_w).all()):
-        raise GramError("tail quadrature produced non-finite nodes or weights")
+    outward = step_sd * np.arange(_REACH_SD)
+    left = np.concatenate([basis.nodes[:-1], basis.grid_lo - step_sd - outward,
+                           basis.grid_hi + outward])
+    quad_x, quad_w = _panels(left, np.repeat([basis.width, step_sd], [m, 2 * _REACH_SD]))
+    quad_w *= np.asarray(r(quad_x), dtype=float)
+    finite = np.isfinite(quad_x) & np.isfinite(quad_w)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        panel = bad // _ORDER
+        where = f"element {panel}" if panel < m else f"tail panel {panel - m}"
+        raise GramError(f"non-finite reference weight in {where} (x={quad_x[bad]!r})")
 
     # One copy of L f: the rhs reads it, then dsyrk reads it weighted by
     # sqrt(w) in place and fills its upper triangle, mirrored so the matrix
@@ -345,7 +331,6 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         basis=basis,
         quad_x=quad_x,
         quad_w=quad_w,
-        n_core=core_x.size,
         # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, in L f's memory.
         rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=lf).T, root_w, trans=1))),
     )
@@ -445,7 +430,7 @@ class RatioReconstruction:
 
     def domain_mass(self) -> tuple[float, float]:
         """(raw mass, clipped-away negative mass) over the working domain."""
-        sl = slice(0, self._system.n_core)
+        sl = slice(0, _ORDER * self._system.basis.num_elements)
         q = self.ratio(self._system.quad_x[sl])
         w = self._system.quad_w[sl]
         raw = float(w @ q)
@@ -456,20 +441,17 @@ class RatioReconstruction:
         """Per-bin integrals of the clipped density.
 
         The density has derivative kinks at every basis node, so each bin is
-        split there before applying the ``_BIN_ORDER``-point Gauss-Legendre
-        panel rule; every panel then integrates a smooth piece.
+        split there into pieces, each integrated by ``_panels``; every piece
+        is then smooth.
         """
         edges = np.asarray(edges, dtype=float)
         nodes = self._system.basis.nodes
         interior = nodes[(nodes > edges[0]) & (nodes < edges[-1])]
         cuts = np.unique(np.concatenate([edges, interior]))
-        u, wu = _gauss_legendre01(_BIN_ORDER)
-        widths = np.diff(cuts)
-        x = (cuts[:-1, None] + widths[:, None] * u[None, :]).ravel()
-        vals = np.clip(self.density(x), 0.0, None).reshape(-1, _BIN_ORDER)
-        panel = widths * _combine_rows(wu, vals.T)
+        x, w = _panels(cuts[:-1], np.diff(cuts))
         masses = np.zeros(edges.size - 1)
-        np.add.at(masses, np.searchsorted(edges, cuts[:-1], side="right") - 1, panel)
+        bins = np.searchsorted(edges, cuts[:-1], side="right") - 1
+        np.add.at(masses, np.repeat(bins, _ORDER), w * np.clip(self.density(x), 0.0, None))
         return masses
 
     def table(self, grid: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -509,7 +491,7 @@ def project_stationary_density(
     Gram arrays at once.
     """
     m = num_elements
-    q = _QUAD_ORDER * m + 2 * _TAIL_ORDER * _REACH_SD  # the nodes assemble_gram makes
+    q = _ORDER * (m + 2 * _REACH_SD)  # the nodes assemble_gram makes
     _check_budget(8 * (m + 1) * (q + 2 * m + 2),
                   f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)

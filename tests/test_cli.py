@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from midnightq import chain, diffusion, projection
-from midnightq.cli import _OPTIONS, build_config, main
+from midnightq.cli import _COMMANDS, _OPTIONS, build_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_ARGS = ["--n", "18", "--lambda", "3.03", "--mean-los", "5.3"]
@@ -339,6 +339,18 @@ class TestCommands:
         assert expected.startswith("invalid configuration: mean_los must exceed 1 day")
         assert main(["limit-check", "--n", "25,100", "--mean-los", mean_los, "--steps", "2"]) == 2
         assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("mu", ["2", "nan"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_mu_outside_unit_interval_named_by_its_flag(self, command, mu, capsys):
+        # Every command reads --mu through RunConfig.service_prob, so each
+        # names the flag, not the library field it feeds.
+        sizes = ["--n", "25"] if command == "limit-check" else ["--n", "18", "--lambda", "3.03"]
+        assert main([command, *sizes, "--mu", mu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"invalid configuration: --mu must lie in (0, 1), got {float(mu)!r}\n"
+        assert captured.err == expected
 
     @pytest.mark.parametrize("truncation", ["100", "1000000000"])
     def test_refused_compare_truncation_never_projects(self, truncation, monkeypatch, capsys):

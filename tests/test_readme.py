@@ -1,9 +1,10 @@
-"""The README's library example runs as written, and its option table
-matches the command line's."""
+"""The README's library example runs as written, its option table matches
+the command line's, and its node count matches the projection's."""
 
 import re
 from pathlib import Path
 
+from midnightq import projection
 from midnightq.cli import _COMMANDS, _OPTIONS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +39,16 @@ def test_option_table_matches_cli():
         accepted = {flag(key) for key, (*_, commands) in _OPTIONS.items() if command in commands}
         assert not reads & every, command
         assert reads | every == accepted | {"--config"}, command
+
+
+def test_node_count_matches_projection():
+    # Each "q = a m + b" of the README, the memory table's row among them, is
+    # the node count the Gram assembly makes: _ORDER nodes on each of m
+    # elements and on 2 _REACH_SD tail panels.
+    text = README.read_text()
+    row = re.search(r"^\| `projection`.*$", text, flags=re.M).group(0)
+    assert re.search(r"q = \d+ m \+ \d+ quadrature nodes", row)
+    counts = re.findall(r"q = (\d+) m \+ (\d+)", text)
+    assert len(counts) == 2
+    for a, b in counts:
+        assert (int(a), int(b)) == (projection._ORDER, 2 * projection._REACH_SD * projection._ORDER)
