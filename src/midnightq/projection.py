@@ -18,6 +18,7 @@ one step sd each, along each semi-infinite tail beyond the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ _REACH_SD = 10
 # Residual a Gram solve may leave, relative to the norm of its right-hand side.
 _REL_TOL = 1e-8
 # Gauss-Legendre nodes per panel of every integral: the Gram's elements and
-# tail panels, and the pieces of a bin mass.
+# tail panels, and the pieces of a bin mass beyond them.
 _ORDER = 8
+_BLOCK = 64  # rows or columns of a Gram-assembly matrix that one temporary holds
 
 
 class GramError(RuntimeError):
@@ -163,7 +165,8 @@ def _pf_windows(nodes: np.ndarray, h: float, means: np.ndarray, sd: float, first
                             for buf in (rows_buf, t_buf, z_buf, tail_buf))
         i0 = i0_buf[: (width - 1) * b].reshape(width - 1, b)
         np.add(offsets, first[part], out=rows)
-        np.take(nodes, rows, out=t)
+        # rows is always in range; mode="clip" writes t without buffering it.
+        np.take(nodes, rows, out=t, mode="clip")
         np.subtract(t, mean, out=z)
         z /= sd
         np.abs(z, out=tail)
@@ -259,12 +262,42 @@ def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
     return lf
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes u_j and weights wu_j of the ``order``-point Gauss-Legendre rule
+    on [-1, 1], and the Legendre coefficients (row k of P_k) of each B_j(u),
+    the integral over [-1, u] of l_j / wu_j for the Lagrange basis l_j on the
+    nodes: the rule is exact for l_j P_k, k < ``order``, so l_j / wu_j = sum_k
+    (k + 1/2) P_k(u_j) P_k.  B_j(1) = 1.  Made once per order, read-only."""
+    legendre = np.polynomial.legendre
+    u, wu = legendre.leggauss(order)
+    series = legendre.legvander(u, order - 1) * (np.arange(order) + 0.5)
+    rule = (u, wu, legendre.legint(series.T, lbnd=-1))
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
 def _panels(left: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``_ORDER``-point Gauss-Legendre rule on each
     panel [left, left + width], ``_ORDER`` consecutive nodes per panel."""
-    u, wu = np.polynomial.legendre.leggauss(_ORDER)
+    u, wu, _ = _gauss_legendre(_ORDER)
     width = width[:, None]
     return (left[:, None] + width * ((u + 1.0) / 2.0)).ravel(), (width * (wu / 2.0)).ravel()
+
+
+def _gram_panels(basis: FemBasis, kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(left, width) of the Gram's panels: the m elements, then ``_REACH_SD``
+    panels one kernel-step sd long along each semi-infinite tail beyond the
+    grid, the lower tail's going outward, then the upper's.  That is the
+    reach of a point's hat window (``_pf_band``): past the upper panels a step
+    starts that far above the grid, less the drift; past the lower ones the
+    reference's Gaussian tail is negligible."""
+    step_sd = kernel.step_law(0.0)[1]  # the same from every state
+    outward = step_sd * np.arange(_REACH_SD)
+    left = np.concatenate([basis.nodes[:-1], basis.grid_lo - step_sd - outward,
+                           basis.grid_hi + outward])
+    return left, np.repeat([basis.width, step_sd], [basis.num_elements, 2 * _REACH_SD])
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +307,8 @@ class GramSystem:
     ``matrix`` holds the pairwise r-weighted inner products of the mapped
     basis, ``rhs`` their inner products with the constant function.  The
     quadrature nodes and weights (r included) are kept so the
-    reconstruction reuses exactly the same discrete inner product.
+    reconstruction reuses exactly the same discrete inner product, and
+    ``weighted_lf``, sqrt(w) L f there (None in a system built by hand).
     """
 
     matrix: np.ndarray
@@ -285,24 +319,15 @@ class GramSystem:
     quad_x: np.ndarray
     quad_w: np.ndarray
     rhs_scale: float = 1.0
+    weighted_lf: np.ndarray | None = None
 
 
 def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
-    """Assemble the r-weighted normal equations of the projection.
-
-    The reference density ``r`` need only be callable.  ``_panels`` gives
-    the nodes: the m elements come first, then ``_REACH_SD`` panels per
-    semi-infinite tail beyond the grid, one kernel-step standard deviation
-    long each, the reach of a point's hat window (``_pf_band``).  Past the
-    upper panels a step starts that far above the grid, less the drift;
-    past the lower ones the reference's Gaussian tail is negligible.
-    """
+    """Assemble the r-weighted normal equations of the projection at the
+    ``_panels`` nodes of ``_gram_panels``.  The reference density ``r`` need
+    only be callable."""
     m = basis.num_elements
-    step_sd = kernel.step_law(0.0)[1]  # the same from every state
-    outward = step_sd * np.arange(_REACH_SD)
-    left = np.concatenate([basis.nodes[:-1], basis.grid_lo - step_sd - outward,
-                           basis.grid_hi + outward])
-    quad_x, quad_w = _panels(left, np.repeat([basis.width, step_sd], [m, 2 * _REACH_SD]))
+    quad_x, quad_w = _panels(*_gram_panels(basis, kernel))
     quad_w *= np.asarray(r(quad_x), dtype=float)
     finite = np.isfinite(quad_x) & np.isfinite(quad_w)
     if not finite.all():
@@ -311,18 +336,24 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         where = f"element {panel}" if panel < m else f"tail panel {panel - m}"
         raise GramError(f"non-finite reference weight in {where} (x={quad_x[bad]!r})")
 
-    # One copy of L f: the rhs reads it, then dsyrk reads it weighted by
-    # sqrt(w) in place and fills its upper triangle, mirrored so the matrix
-    # is exactly symmetric.  The transposes are the Fortran-ordered views
-    # BLAS takes without a copy.
+    # One copy of L f, kept by the system: the rhs reads it, then dsyrk reads
+    # it weighted by sqrt(w) in place and fills its upper triangle.  The
+    # transposes are the Fortran-ordered views BLAS takes without a copy.
     lf = lf_hat_matrix(basis, kernel, quad_x)
     rhs = dgemv(1.0, lf.T, quad_w, trans=1)
     root_w = np.sqrt(quad_w)
     lf *= root_w
-    upper = dsyrk(1.0, lf.T, trans=1)
-    matrix = np.triu(upper) + np.triu(upper, 1).T
+    matrix = dsyrk(1.0, lf.T, trans=1)
+    # Mirrored, so exactly symmetric, _BLOCK columns at a time: a + 0 above
+    # the diagonal and 0 + a^T below.
+    for j in range(0, m + 1, _BLOCK):
+        k = j + _BLOCK
+        matrix[j:, j:k] = np.triu(matrix[j:, j:k]) + np.tril(matrix[j:k, j:].T, -1)
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
         raise GramError("non-finite Gram entries; check the reference density scale")
+    # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, _BLOCK rows of |.| at a time.
+    abs_rhs = np.concatenate([dgemv(1.0, np.abs(lf[j:j + _BLOCK]).T, root_w, trans=1)
+                              for j in range(0, m + 1, _BLOCK)])
     return GramSystem(
         matrix=matrix,
         rhs=rhs,
@@ -331,8 +362,8 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         basis=basis,
         quad_x=quad_x,
         quad_w=quad_w,
-        # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, in L f's memory.
-        rhs_scale=float(np.linalg.norm(dgemv(1.0, np.abs(lf, out=lf).T, root_w, trans=1))),
+        rhs_scale=float(np.linalg.norm(abs_rhs)),
+        weighted_lf=lf,
     )
 
 
@@ -356,8 +387,11 @@ def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
     tol = max(
         _REL_TOL * float(np.linalg.norm(b)), 100.0 * np.finfo(float).eps * system.rhs_scale
     )
+    # One shifted copy, in the matrix's own memory order, factored in place.
+    shifted = a.copy(order="K")
+    shifted[np.diag_indices(m)] += shift
     try:
-        factor = cho_factor(a + shift * np.eye(m), lower=True)
+        factor = cho_factor(shifted, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as err:
         raise GramError(f"Gram factorization failed: {err}; check basis and quadrature")
     alpha = cho_solve(factor, b)
@@ -380,7 +414,8 @@ class RatioReconstruction:
     coefficients and residual of ``solve_gram``.  ``projected`` is the best
     approximation of the constant function inside the mapped test space,
     ``norm_sq`` the squared distance left over, and ``ratio``/``density``
-    the resulting correction factor and density.
+    the resulting correction factor and density.  ``node_mass`` is w * ratio
+    at the Gram's quadrature nodes, the density's mass at each node.
     """
 
     def __init__(self, system: GramSystem):
@@ -394,6 +429,9 @@ class RatioReconstruction:
                 "projection captured the constant function (nonpositive remainder norm)"
             )
         self.norm_sq = norm_sq
+        # w (1 - L f^T alpha) / norm_sq by one dgemv, never dividing by r: it underflows.
+        lf_alpha = dgemv(1.0, system.weighted_lf.T, alpha)
+        self.node_mass = (system.quad_w - np.sqrt(system.quad_w) * lf_alpha) / norm_sq
 
     def projected(self, x):
         """The projected constant function, evaluable anywhere.
@@ -429,30 +467,43 @@ class RatioReconstruction:
         return out if np.ndim(x) else float(out)
 
     def domain_mass(self) -> tuple[float, float]:
-        """(raw mass, clipped-away negative mass) over the working domain."""
-        sl = slice(0, _ORDER * self._system.basis.num_elements)
-        q = self.ratio(self._system.quad_x[sl])
-        w = self._system.quad_w[sl]
-        raw = float(w @ q)
-        clipped = float(w @ np.clip(-q, 0.0, None))
-        return raw, clipped
+        """(raw mass, clipped-away negative mass) of ``node_mass`` on the elements."""
+        element = self.node_mass[: _ORDER * self._system.basis.num_elements]
+        return float(element.sum()), float(np.clip(-element, 0.0, None).sum())
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:
         """Per-bin integrals of the clipped density.
 
-        The density has derivative kinks at every basis node, so each bin is
-        split there into pieces, each integrated by ``_panels``; every piece
-        is then smooth.
+        Each bin is split into pieces at the Gram's panel boundaries.  Inside
+        a panel the density is analytic (its kinks lie at basis nodes), so a
+        piece [a, b] takes the integral of the interpolant of its panel's
+        clipped ``node_mass`` nu, sum_j max(nu_j, 0) (B_j(u_b) - B_j(u_a))
+        (``_gauss_legendre``), clipped at 0; u in [-1, 1] is the panel's
+        coordinate.  Beyond the outermost panels, with no nodes, a piece
+        takes ``_panels`` on the clipped ``density``.
         """
         edges = np.asarray(edges, dtype=float)
-        nodes = self._system.basis.nodes
-        interior = nodes[(nodes > edges[0]) & (nodes < edges[-1])]
-        cuts = np.unique(np.concatenate([edges, interior]))
-        x, w = _panels(cuts[:-1], np.diff(cuts))
-        masses = np.zeros(edges.size - 1)
-        bins = np.searchsorted(edges, cuts[:-1], side="right") - 1
-        np.add.at(masses, np.repeat(bins, _ORDER), w * np.clip(self.density(x), 0.0, None))
-        return masses
+        left, width = _gram_panels(self._system.basis, self._system.kernel)
+        order = np.argsort(left)
+        bounds = np.append(left[order], left[order[-1]] + width[order[-1]])
+        within = bounds[(bounds > edges[0]) & (bounds < edges[-1])]
+        cuts = np.unique(np.concatenate([edges, within]))
+        a, b = cuts[:-1], cuts[1:]
+        slot = np.searchsorted(bounds, (a + b) / 2.0, side="right") - 1
+        inside = (slot >= 0) & (slot < order.size)
+        panel = order[slot[inside]]
+        u_a, u_b = (np.clip(2.0 * (end[inside] - left[panel]) / width[panel] - 1.0, -1.0, 1.0)
+                    for end in (a, b))
+        legvander = np.polynomial.legendre.legvander
+        span = legvander(u_b, _ORDER) - legvander(u_a, _ORDER)  # P_k(u_b) - P_k(u_a)
+        nu = np.clip(self.node_mass, 0.0, None).reshape(-1, _ORDER)[panel]
+        piece = np.empty(a.size)
+        piece[inside] = np.clip(np.einsum("ik,kj,ij->i", span, _gauss_legendre(_ORDER)[2], nu),
+                                0.0, None)
+        x, w = _panels(a[~inside], (b - a)[~inside])
+        piece[~inside] = (w * np.clip(self.density(x), 0.0, None)).reshape(-1, _ORDER).sum(axis=1)
+        bins = np.searchsorted(edges, a, side="right") - 1
+        return np.bincount(bins, weights=piece, minlength=edges.size - 1)
 
     def table(self, grid: np.ndarray) -> tuple[np.ndarray, dict]:
         """Clipped, domain-renormalized samples plus diagnostics.

@@ -99,6 +99,25 @@ def lattice_projection(params):
     return system, recon, lattice_edges(params.n_servers, stationary_window(params)[1])
 
 
+def per_piece_rule(basis, edges, order=8):
+    """(nodes, weights, bin of each node) of the per-piece rule: each bin
+    split at the basis nodes, ``order`` Gauss-Legendre nodes per piece."""
+    nodes = basis.nodes
+    cuts = np.unique(np.concatenate([edges, nodes[(nodes > edges[0]) & (nodes < edges[-1])]]))
+    u, wu = np.polynomial.legendre.leggauss(order)
+    width = np.diff(cuts)[:, None]
+    bins = np.searchsorted(edges, cuts[:-1], side="right") - 1
+    return ((cuts[:-1, None] + width * ((u + 1.0) / 2.0)).ravel(), (width * (wu / 2.0)).ravel(),
+            np.repeat(bins, order))
+
+
+def per_piece_masses(recon, edges, order):
+    """Bin masses of the clipped density by ``per_piece_rule``."""
+    x, w, bins = per_piece_rule(recon._system.basis, edges, order)
+    mass = w * np.clip(recon.density(x), 0.0, None)
+    return np.bincount(bins, weights=mass, minlength=edges.size - 1)
+
+
 def unskipped_projected(recon, x):
     """``recon.projected`` with every point evaluated through ``_pf_band``."""
     basis, kernel, alpha = recon._system.basis, recon._system.kernel, recon.alpha
@@ -380,25 +399,24 @@ class TestFusedKernel:
 
 class TestAssembleGram:
     @pytest.mark.parametrize("name", ["params_small", "params_large"])
-    @pytest.mark.parametrize("m", [160, 400])
+    @pytest.mark.parametrize("m", [160, 400, 1200])
     def test_peak_memory_is_one_lf(self, request, name, m):
-        # The bytes of what may be live at once: L f, weighted and then made
-        # |L f| in place, the two Gram arrays, and one batch of the hat
-        # kernel's work arrays (its five buffers and np.take's buffered
-        # copy of t).  No second copy of L f.
+        # The whole pipeline, assembly and solve, holds no more than what the
+        # budget counts, L f (weighted in place and kept) and two Gram
+        # arrays, plus one batch of the hat kernel's five work arrays.  No
+        # second copy of L f, and no third Gram array.
         params = request.getfixturevalue(name)
         d = derive_diffusion_params(params)
-        mu = params.daily_service_prob
-        basis, kernel, r = default_basis(d, m), TransitionKernel(d, mu), proxy_density(d, mu)
         tracemalloc.start()
         try:
-            system = assemble_gram(basis, kernel, r)
+            basis, system, _ = project_stationary_density(d, params.daily_service_prob,
+                                                          num_elements=m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        q, width = system.quad_x.size, reach_window(basis, kernel, 0.0)[1]
+        q, width = system.quad_x.size, reach_window(basis, system.kernel, 0.0)[1]
         batch = width * min(q, projection._CHUNK)
-        assert peak <= 8 * (basis.size * (q + 2 * basis.size) + 6 * batch)
+        assert peak <= 8 * (basis.size * (q + 2 * basis.size) + 5 * batch)
 
     def test_matrix_symmetric_and_psd(self, params_small):
         *_, system = small_setup(params_small)
@@ -473,7 +491,7 @@ class TestAssembleGram:
         assert (core > system.basis.grid_lo).all() and (core < system.basis.grid_hi).all()
         assert system.quad_x[4 * m] < system.basis.grid_lo
         raw = system.quad_w[: 4 * m] @ recon.ratio(core)
-        assert recon.domain_mass()[0] == raw
+        assert recon.domain_mass()[0] == pytest.approx(raw, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m", [64, 160])
     def test_dou_reference_takes_the_same_nodes(self, m):
@@ -607,7 +625,7 @@ class TestReconstruction:
         edges = np.arange(-20.5, 60.5)
         coarse = recon.bin_masses(edges)
         monkeypatch.setattr(projection, "_ORDER", 64)
-        fine = recon.bin_masses(edges)
+        fine = RatioReconstruction(small_setup(params_small, m=96)[-1]).bin_masses(edges)
         assert abs(coarse.sum() - fine.sum()) <= 1e-10
         # independent adaptive quadrature on one interior bin
         a, b = 2.5, 3.5
@@ -647,28 +665,23 @@ class TestReconstruction:
                 assert np.array_equal(recon.bin_masses(edges), skipped), name
 
     def test_skipped_points_step_beyond_reach_of_the_grid(self, request, monkeypatch):
-        # Record the step means that reach _pf_band from bin_masses: every
-        # other point must be off the grid, its 10-sd reach must miss the
-        # grid, and its value, evaluated anyway, must be below 2^-60.
+        # Record the step means that reach _pf_band from the density at the
+        # per-piece rule's lattice points: every other point must be off the
+        # grid, its 10-sd reach must miss the grid, and its value, evaluated
+        # anyway, must be below 2^-60.
         for name in ("params_small", "params_medium", "params_large"):
             params = request.getfixturevalue(name)
             system, recon, edges = lattice_projection(params)
-            points, evaluated = [], []
-            evaluate = recon.density
-
-            def recording(x):
-                points.append(np.array(x))
-                return evaluate(x)
+            x = per_piece_rule(system.basis, edges)[0]
+            evaluated = []
 
             def recording_band(basis, means, sd):
                 evaluated.append(np.array(means))
                 return _pf_band(basis, means, sd)
 
             with monkeypatch.context() as patch:
-                patch.setattr(recon, "density", recording)
                 patch.setattr(projection, "_pf_band", recording_band)
-                recon.bin_masses(edges)
-            (x,) = points
+                recon.density(x)
             means, sd = system.kernel.step_law(x)
             skipped = ~np.isin(means, np.concatenate(evaluated))
             assert skipped.sum() > 1000, name
@@ -679,23 +692,13 @@ class TestReconstruction:
             assert np.all(np.abs(unskipped_projected(recon, x[skipped])) < 2.0**-60)
 
     def test_point_value_does_not_depend_on_its_batch(self, params_large):
-        # x near 51.518 at N = 500: its value alone, inside the 14,048-point
-        # batch of bin_masses on the lattice 0..1,594 and inside a 7,259-point
-        # batch must agree.
+        # x near 51.518 at N = 500: its value alone, inside the 14,048 points
+        # of the per-piece rule on the lattice 0..1,594 and inside a
+        # 7,259-point batch must agree.
         d = derive_diffusion_params(params_large)
         _, system, recon = project_stationary_density(d, params_large.daily_service_prob)
         edges = lattice_edges(params_large.n_servers, 1594)
-        batches = []
-        evaluate = recon.density
-
-        def recording(x):
-            batches.append(np.array(x))
-            return evaluate(x)
-
-        recon.density = recording
-        recon.bin_masses(edges)
-        del recon.density
-        (xs,) = batches
+        xs = per_piece_rule(system.basis, edges)[0]
         assert xs.size == 14_048
         k = int(np.argmin(np.abs(xs - 51.518)))
         x = float(xs[k])
@@ -737,6 +740,82 @@ class TestReconstruction:
         coarse = sup_residual(40)
         fine = sup_residual(80)
         assert fine < coarse
+
+
+class TestBinMasses:
+    """Bin masses from the Gram's node masses inside its panels, and by the
+    per-piece rule only beyond them."""
+
+    @pytest.mark.parametrize("name", ["params_small", "params_medium", "params_large"])
+    def test_lattice_masses_match_a_32_point_per_piece_reference(self, request, name):
+        # The interpolant of the 8 node masses of each panel against the
+        # per-piece rule at 32 points; the pieces beyond the panels carry up
+        # to 1.3e-7 (N = 18), so they cannot be left out.
+        system, recon, edges = lattice_projection(request.getfixturevalue(name))
+        reference = per_piece_masses(recon, edges, 32)
+        assert 0.5 * np.abs(recon.bin_masses(edges) - reference).sum() <= 1e-13
+
+    def test_every_bin_mass_is_nonnegative(self, request):
+        # At N = 100, lambda = 30, mu = 0.5 a piece's interpolant integral
+        # comes out at -2.4e-19 before its clip.
+        names = ("params_small", "params_medium", "params_large")
+        for params in (*map(request.getfixturevalue, names), ModelParams(100, 30.0, 0.5)):
+            _, recon, edges = lattice_projection(params)
+            assert (recon.bin_masses(edges) >= 0.0).all(), params
+
+    @pytest.mark.parametrize("name", ["params_small", "params_medium", "params_large"])
+    def test_coarse_basis_interpolant_is_within_its_discretization_error(self, request, name):
+        # At 8 and 20 elements the interpolant moves the lattice masses from
+        # the 8-point per-piece rule by at least 20 times less than that rule
+        # is from a 640-element projection (43 times less at N = 18, m = 8).
+        params = request.getfixturevalue(name)
+        d, mu = derive_diffusion_params(params), params.daily_service_prob
+        edges = lattice_projection(params)[2]
+        fine = project_stationary_density(d, mu, num_elements=640)[2].bin_masses(edges)
+        for m in (8, 20):
+            recon = project_stationary_density(d, mu, num_elements=m)[2]
+            per_piece = per_piece_masses(recon, edges, 8)
+            moved = 0.5 * np.abs(recon.bin_masses(edges) - per_piece).sum()
+            assert moved <= 5e-2 * 0.5 * np.abs(per_piece - fine).sum(), m
+
+    def test_whole_elements_take_the_clipped_node_masses(self):
+        # Four elements at load 0.97 and a 20-day stay: the density dips
+        # below zero inside two elements.  A bin that is one whole element
+        # takes the element's Gauss rule on the clipped density, and the
+        # elements add up to the raw plus the clipped-away mass.
+        params = ModelParams.from_mean_los(18, 0.97 * 18 / 20.0, 20.0)
+        basis, system, recon = project_stationary_density(
+            derive_diffusion_params(params), params.daily_service_prob, num_elements=4)
+        raw, clipped = recon.domain_mass()
+        assert clipped > 1e-3
+        masses = recon.bin_masses(basis.nodes)
+        x, w = system.quad_x[:32], system.quad_w[:32]
+        gauss = np.clip(w * recon.ratio(x), 0.0, None).reshape(4, 8).sum(axis=1)
+        assert np.abs(masses - gauss).max() <= 1e-11
+        assert masses.sum() == pytest.approx(raw + clipped, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["params_small", "params_large"])
+    def test_inside_the_panels_nothing_is_evaluated(self, request, monkeypatch, name):
+        # Only the lattice bins beyond the outermost panels reach the
+        # density: _pf_windows runs on none of the points inside them, and
+        # domain_mass evaluates nothing.
+        system, recon, edges = lattice_projection(request.getfixturevalue(name))
+        step_sd = system.kernel.step_law(0.0)[1]
+        lowest = system.basis.grid_lo - REACH_SD * step_sd
+        highest = system.basis.grid_hi + REACH_SD * step_sd
+        seen = []
+        evaluate = recon.density
+
+        def recording(x):
+            seen.append(np.array(x))
+            return evaluate(x)
+
+        monkeypatch.setattr(recon, "density", recording)
+        recon.bin_masses(edges)
+        (x,) = seen
+        assert ((x < lowest + 1e-9) | (x > highest - 1e-9)).all()
+        monkeypatch.setattr(projection, "_pf_windows", None)
+        recon.domain_mass()
 
 
 class TestPurePipeline:
