@@ -45,7 +45,6 @@ from .projection import (
     RatioReconstruction,
     assemble_gram,
     build_basis,
-    default_basis,
     project_stationary_density,
     solve_gram,
 )

@@ -110,8 +110,11 @@ def _write(cfg: RunConfig, table: tuple[np.ndarray, np.ndarray] | None, fields: 
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"--out {cfg.out!r} cannot be written: {err.strerror}") from err
 
 
 _Result = tuple[tuple[np.ndarray, np.ndarray] | None, dict]
@@ -283,6 +286,8 @@ def build_config(argv: list[str]) -> RunConfig:
     if args.config is not None:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("--config must hold a JSON object of flag values")
         unknown = set(file_cfg) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -73,11 +73,13 @@ class FemBasis:
 
 
 def build_basis(grid_lo: float, grid_hi: float, m: int) -> FemBasis:
-    """Uniform basis with ``m`` elements; zero must land on a node.
+    """Uniform basis with ``m`` elements, shifted so that zero is a node.
 
     The kernel's conditional mean is non-smooth at zero, so zero has to be
-    resolvable by the element boundaries; inputs whose uniform grid misses it
-    are rejected.
+    an element boundary.  The node nearest zero, kept at least one element
+    from either end, is moved onto it: the domain shifts by at most half an
+    element, or under one element when zero lies within half an element of
+    an end.  The width is then recomputed from the shifted ends.
     """
     if not grid_lo < 0.0 < grid_hi:
         raise ValueError(
@@ -86,12 +88,9 @@ def build_basis(grid_lo: float, grid_hi: float, m: int) -> FemBasis:
     if m < 4:
         raise ValueError(f"need at least 4 elements, got {m!r}")
     h = (grid_hi - grid_lo) / m
-    j0 = round(-grid_lo / h)
-    if abs(grid_lo + j0 * h) > 1e-9 * h or not 0 < j0 < m:
-        raise ValueError(
-            "zero must be a node of the uniform grid (the kernel changes branch there); "
-            f"got grid ({grid_lo!r}, {grid_hi!r}) with {m} elements"
-        )
+    j0 = min(max(round(-grid_lo / h), 1), m - 1)
+    grid_lo = -j0 * h
+    h = (grid_lo + m * h - grid_lo) / m
     # Anchor the grid at the zero node so it is exact, not merely close.
     nodes = (np.arange(m + 1) - j0) * h
     return FemBasis(
@@ -105,24 +104,18 @@ def working_domain(
     """``(grid_lo, grid_hi)``, by default the domain covering the Gaussian
     branch to 6 sd and the exponential branch to twelve e-folds of decay.
 
-    Refuses one end without the other with ValueError.
+    Refuses with ValueError ends not both given, finite and increasing.
     """
     if (grid_lo is None) != (grid_hi is None):
         raise ValueError("the working domain needs both grid_lo and grid_hi, or neither")
     if grid_lo is not None:
+        if not -math.inf < grid_lo < grid_hi < math.inf:
+            raise ValueError(f"grid_lo and grid_hi must be finite and increasing, "
+                             f"got ({grid_lo!r}, {grid_hi!r})")
         return grid_lo, grid_hi
     if d.tail_rate <= 0.0:
         raise ValueError("default domain needs a stable regime (positive tail rate)")
     return d.gaussian_center - 6.0 * math.sqrt(d.ou_variance), 12.0 / d.tail_rate
-
-
-def default_basis(d: DiffusionParams, m: int) -> FemBasis:
-    """Basis on the default domain, shifted minimally so zero is a node."""
-    lo, hi = working_domain(d)
-    h = (hi - lo) / m
-    j0 = min(max(round(-lo / h), 1), m - 1)
-    lo = -j0 * h
-    return build_basis(lo, lo + m * h, m)
 
 
 def _pf_windows(nodes: np.ndarray, h: float, means: np.ndarray, sd: float, first: np.ndarray,
@@ -546,8 +539,7 @@ def project_stationary_density(
     _check_budget(8 * (m + 1) * (q + 2 * m + 2),
                   f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)
-    lo, hi = working_domain(d, grid_lo, grid_hi)
-    basis = default_basis(d, num_elements) if grid_lo is None else build_basis(lo, hi, num_elements)
+    basis = build_basis(*working_domain(d, grid_lo, grid_hi), num_elements)
     kernel = TransitionKernel(diffusion=d, service_prob=mu)
     system = assemble_gram(basis, kernel, r)
     return basis, system, RatioReconstruction(system)

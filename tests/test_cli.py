@@ -97,6 +97,16 @@ class TestConfigParsing:
         assert main(["limit-check", "--config", str(cfg_file)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["3", "[1, 2]"])
+    def test_config_not_an_object_exit_2(self, content, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(content)
+        assert main(["exact", *SMALL_ARGS, "--config", str(cfg_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--config must hold a JSON object" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             build_config(["exact", "--bogus", "1"])
@@ -206,6 +216,21 @@ class TestCommands:
         assert captured.out == ""
         assert "solver failure" in captured.err
 
+    def test_failed_solve_writes_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["exact", "--n", "5", "--lambda", "1.5", "--mu", "0.25", "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exit_2(self, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["formula", *SMALL_ARGS, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_overloaded_warns(self, capsys):
         args = ["simulate", "--n", "5", "--lambda", "1.5", "--mu", "0.25", "--steps", "200"]
         assert main(args) == 0
@@ -235,9 +260,9 @@ class TestCommands:
         "argv, flag, allocator",
         [
             (["projection", *SMALL_ARGS, "--elements", "128"], "--elements",
-             (projection, "default_basis")),
+             (projection, "build_basis")),
             (["compare", *SMALL_ARGS, "--elements", "128"], "--elements",
-             (projection, "default_basis")),
+             (projection, "build_basis")),
             (["simulate", *SMALL_ARGS, "--steps", "100000"], "--steps",
              (chain, "simulate_path")),
             (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--replications", "10000"],
@@ -513,6 +538,35 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "both grid_lo and grid_hi" in captured.err
+
+    @pytest.mark.parametrize("command", ["formula", "projection", "compare"])
+    @pytest.mark.parametrize("domain", [("-10", "inf"), ("-inf", "30"), ("nan", "30"),
+                                        ("30", "-10")])
+    def test_domain_not_finite_and_increasing_exit_2(self, command, domain, capsys):
+        lo, hi = domain
+        assert main([command, *SMALL_ARGS, f"--grid-lo={lo}", f"--grid-hi={hi}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid_lo and grid_hi must be finite and increasing" in captured.err
+        assert f"{float(lo)!r}, {float(hi)!r}" in captured.err
+
+    def test_formula_domain_need_not_straddle_zero(self, capsys):
+        assert main(["formula", *SMALL_ARGS, "--grid-lo=5", "--grid-hi=30"]) == 0
+        assert capsys.readouterr().out.startswith("x,density\n5,")
+
+    def test_misaligned_domain_is_shifted_onto_zero(self, capsys):
+        # With 160 elements of 0.251875 on (-10.3, 30), zero is 40.9 elements
+        # from the left end: the grid shifts by 0.1 elements and solves.
+        def tvs(lo):
+            assert main(["compare", *SMALL_ARGS, f"--grid-lo={lo}", "--grid-hi=30"]) == 0
+            return json.loads(capsys.readouterr().out)["tv"]
+
+        aligned, shifted = tvs(-10), tvs(-10.3)
+        assert aligned.keys() == shifted.keys()
+        for key in aligned:
+            assert abs(shifted[key] - aligned[key]) < 1e-4
+        assert main(["projection", *SMALL_ARGS, "--grid-lo=-10.3", "--grid-hi=30"]) == 0
+        assert capsys.readouterr().out.startswith("x,density\n")
 
     def test_limit_check_rejects_csv(self, capsys):
         args = ["limit-check", "--n", "25,100", "--mu", "0.2", "--format", "csv"]

@@ -17,7 +17,6 @@ from midnightq import (
     TransitionKernel,
     assemble_gram,
     build_basis,
-    default_basis,
     derive_diffusion_params,
     dou_stationary_density,
     project_stationary_density,
@@ -34,6 +33,7 @@ from midnightq.projection import (
     _pf_band,
     _pf_windows,
     lf_hat_matrix,
+    working_domain,
 )
 
 TOY = DiffusionParams(
@@ -165,7 +165,7 @@ def small_setup(params, m=64):
     d = derive_diffusion_params(params)
     mu = params.daily_service_prob
     r = proxy_density(d, mu)
-    basis = default_basis(d, m)
+    basis = build_basis(*working_domain(d), m)
     kernel = TransitionKernel(d, mu)
     system = assemble_gram(basis, kernel, r)
     return d, mu, r, basis, kernel, system
@@ -203,9 +203,14 @@ class TestBuildBasis:
         basis = build_basis(-3, 9, 4)
         assert np.array_equal(basis.nodes, np.array([-3.0, 0.0, 3.0, 6.0, 9.0]))
 
-    def test_grid_missing_zero_rejected(self):
-        with pytest.raises(ValueError, match="zero must be a node"):
-            build_basis(-2.5, 9, 4)
+    def test_grid_missing_zero_shifted(self):
+        # (-2.5, 9) with 4 elements of 2.875: the nearest node, -2.5 + 2.875,
+        # moves onto zero, so the domain shifts left by 0.375.
+        basis = build_basis(-2.5, 9, 4)
+        assert 0.0 in basis.nodes
+        assert basis.width == (basis.grid_hi - basis.grid_lo) / 4
+        assert abs(basis.grid_lo + 2.5) < basis.width
+        assert np.array_equal(basis.nodes, np.arange(-1, 4) * 2.875)
 
     def test_domain_must_straddle_zero(self):
         with pytest.raises(ValueError, match="straddle"):
@@ -227,9 +232,25 @@ class TestBuildBasis:
         outside = np.array([-7.5, 13.5, -100.0, 40.0])
         assert np.all(hat_matrix(basis, outside) == 0.0)
 
+    @pytest.mark.parametrize("m", [4, 64, 160, 1200])
+    @pytest.mark.parametrize("n, lam", [(18, 3.03), (66, 11.37), (500, 90.95)])
+    def test_default_domain_nodes_keep_their_bits(self, n, lam, m):
+        # The reference is the two-step rule that built default bases before
+        # build_basis placed zero itself: snap the left end onto a node,
+        # then rebuild the width from the snapped ends.
+        d = derive_diffusion_params(ModelParams.from_mean_los(n, lam, 5.3))
+        lo, hi = working_domain(d)
+        h = (hi - lo) / m
+        j0 = min(max(round(-lo / h), 1), m - 1)
+        lo = -j0 * h
+        hi = lo + m * h
+        h = (hi - lo) / m
+        reference = (np.arange(m + 1) - round(-lo / h)) * h
+        assert same_bits(build_basis(*working_domain(d), m).nodes, reference)
+
     def test_default_basis_pins_zero(self, params_small):
         d = derive_diffusion_params(params_small)
-        basis = default_basis(d, 64)
+        basis = build_basis(*working_domain(d), 64)
         assert 0.0 in basis.nodes
         assert basis.grid_lo < d.gaussian_center
         assert basis.grid_hi > 10.0 / d.tail_rate
@@ -264,7 +285,7 @@ class TestKernelOperator:
     def test_matches_hat_matrix_row_by_row(self, params_small):
         d = derive_diffusion_params(params_small)
         kernel = TransitionKernel(d, params_small.daily_service_prob)
-        basis = default_basis(d, 16)
+        basis = build_basis(*working_domain(d), 16)
         xs = np.linspace(basis.grid_lo - 5, basis.grid_hi + 5, 73)
         lf = lf_hat_matrix(basis, kernel, xs)
         for i in (0, 1, 8, 16):
@@ -277,7 +298,7 @@ class TestKernelOperator:
 
     def test_one_ndtr_piece_integrals_match_two_ndtr_formula(self, params_small):
         d = derive_diffusion_params(params_small)
-        breaks = default_basis(d, 160).nodes
+        breaks = build_basis(*working_domain(d), 160).nodes
         sd = math.sqrt(d.variance)
         means = np.linspace(breaks[0] - 10 * sd, breaks[-1] + 10 * sd, 4001)
         z = (breaks[:, None] - means[None, :]) / sd
@@ -301,7 +322,7 @@ class TestKernelOperator:
     def test_lf_hat_matrix_matches_dense_hats_bit_for_bit(self, params_small):
         d = derive_diffusion_params(params_small)
         kernel = TransitionKernel(d, params_small.daily_service_prob)
-        basis = default_basis(d, 160)
+        basis = build_basis(*working_domain(d), 160)
         t = basis.nodes
         xs = np.concatenate(
             [
@@ -347,7 +368,7 @@ class TestFusedKernel:
     @pytest.fixture
     def grid(self, params_small):
         d = derive_diffusion_params(params_small)
-        basis = default_basis(d, 160)
+        basis = build_basis(*working_domain(d), 160)
         assert 0.0 in basis.nodes
         return basis, math.sqrt(d.variance)
 
@@ -508,7 +529,7 @@ class TestAssembleGram:
 
     def test_overflowing_reference_names_element(self, params_small):
         d = derive_diffusion_params(params_small)
-        basis = default_basis(d, 16)
+        basis = build_basis(*working_domain(d), 16)
         kernel = TransitionKernel(d, params_small.daily_service_prob)
 
         def exploding(x):
@@ -726,7 +747,7 @@ class TestReconstruction:
         span = np.linspace(-40.0, 120.0, 60_001)
 
         def sup_residual(num_elements: int) -> float:
-            basis = default_basis(d, num_elements)
+            basis = build_basis(*working_domain(d), num_elements)
             system = assemble_gram(basis, kernel, r)
             recon = RatioReconstruction(system)
             qr = recon.ratio(span) * r(span)
