@@ -33,18 +33,15 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def poisson_pmf(rate: float, top: int, first: int = 0) -> np.ndarray:
-    """Poisson pmf on {first, ..., top}, evaluated through log space."""
-    k = np.arange(first, top + 1, dtype=float)
+def poisson_pmf(rate: float, first: int, last: int) -> np.ndarray:
+    """Poisson pmf on {first, ..., last}, evaluated through log space."""
+    k = np.arange(first, last + 1, dtype=float)
     return np.exp(-rate + k * math.log(rate) - gammaln(k + 1.0))
 
 
-def binomial_pmf(trials: int, prob: float, first: int = 0, last: int | None = None) -> np.ndarray:
-    """Binomial pmf on {first, ..., last}, evaluated through log space.
-
-    ``last`` defaults to ``trials``.
-    """
-    d = np.arange(first, (trials if last is None else last) + 1, dtype=float)
+def binomial_pmf(trials: int, prob: float, first: int, last: int) -> np.ndarray:
+    """Binomial pmf on {first, ..., last}, evaluated through log space."""
+    d = np.arange(first, last + 1, dtype=float)
     logpmf = (
         gammaln(trials + 1.0)
         - gammaln(d + 1.0)
@@ -179,7 +176,7 @@ def _binomial_window(trials: int, prob: float) -> tuple[int, np.ndarray]:
 
 def _arrival_window(rate: float) -> tuple[int, np.ndarray]:
     """Poisson(rate) as a ``_window``."""
-    return _window(rate, rate, math.inf, lambda lo, hi: poisson_pmf(rate, hi, lo))
+    return _window(rate, rate, math.inf, lambda lo, hi: poisson_pmf(rate, lo, hi))
 
 
 def _step_law(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
@@ -214,9 +211,9 @@ def build_kernel(
     """Build the one-day transition band on {lower, ..., truncation}.
 
     ``truncation`` defaults to the K of ``stationary_window``.  Row ``lower``
-    is its departures Binomial(min(lower, N), mu) convolved with the
-    arrivals Poisson(lam), plus the ``lower - N`` waiting when lower > N;
-    for lower = 0 that is Poisson(lam) alone.  One more customer
+    is the ``_step_law`` from min(lower, N) busy servers, the law its up
+    reach is read from, cut to the steps -kl..ku and normalized; for lower
+    = 0 that is the arrival window of Poisson(lam) alone.  One more customer
     in service adds a survivor with probability 1 - mu, so row x + 1 is
     ``mu * row_x[y] + (1 - mu) * row_x[y - 1]``, a sum of positive terms.
     Rows x >= N shift the saturated row N.  Mass beyond the top state is
@@ -235,12 +232,10 @@ def build_kernel(
     k_max, lower = int(truncation), int(lower)
     if not 0 <= lower <= k_max:
         raise ValueError(f"lower cut {lower} outside 0..{k_max}")
-    lam = p.daily_arrival_rate
     mu = p.daily_service_prob
-    busy = min(lower, n)
-    arrivals = _arrival_window(lam)
+    arrivals = _arrival_window(p.daily_arrival_rate)
     kl = _reaches(_step_law(min(k_max, n), mu, arrivals))[0]
-    law = _step_law(busy, mu, arrivals)
+    law = _step_law(min(lower, n), mu, arrivals)
     ku = _reaches(law)[1]
     size = k_max - lower + 1
     _check_budget(
@@ -250,11 +245,7 @@ def build_kernel(
     )
 
     band = np.zeros((size, kl + ku + 1))
-    # The row keeps the arrivals' far lower tail, which the trimmed window
-    # drops: with busy = 0 the row is the arrival pmf itself.  No kept step
-    # up to ku needs more arrivals than the departure window's top + ku.
-    most = arrivals[0] - law[0]  # the departure window's top
-    first, steps = _step_law(busy, mu, (0, poisson_pmf(lam, most + ku)))
+    first, steps = law
     lo = max(-kl - first, 0)  # index i of `steps` is the step first + i
     row = steps[lo : ku - first + 1]
     col = kl + first + lo
@@ -487,13 +478,14 @@ def _saturated_cgf(p: ModelParams, busy) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
-    """Least r with P(S_k > r) <= ``level`` for every k <= ``days``.
+    """Least r >= 0 with P(S_k > r) <= ``level`` for every k <= ``days``; 0
+    for no days.
 
     Chernoff, S_k the sum of k saturated steps: P(S_k >= r) <= exp(k c(t) -
     t r) for every t > 0, taken at the best t of ``_saturated_cgf``'s grid.
     """
     t, cgf = _saturated_cgf(p, p.n_servers)
-    rise = -math.inf
+    rise = 0.0
     for first in range(1, days + 1, 4096):
         k = np.arange(first, min(first + 4096, days + 1))[:, None]
         rise = max(rise, float(((k * cgf - math.log(level)) / t).min(axis=1).max()))
@@ -561,8 +553,8 @@ def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
     Unrolled, W_s exceeds r only if some sum of 1..s consecutive steps
     exceeds r.  ``_saturated_rise`` bounds each of these horizon (horizon +
     3) / 2 sums at level ``_TAIL`` / (horizon + 3), so the count passes N +
-    r with probability at most horizon * ``_TAIL`` / 2.  K is N + r, but at
-    least N: at low load r can be negative.
+    r with probability at most horizon * ``_TAIL`` / 2.  K is N + r.  At
+    horizon 0 the window is [N, N].
     """
     n = p.n_servers
     lam = p.daily_arrival_rate
@@ -578,8 +570,7 @@ def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
             lower = min(lower, _floor_of(arrived))
             break
         lower = min(lower, _floor_of(_binomial_window(n, survive), arrived))
-    rise = _saturated_rise(p, horizon, _TAIL / (horizon + 3))
-    return lower, n + max(rise, 0)
+    return lower, n + _saturated_rise(p, horizon, _TAIL / (horizon + 3))
 
 
 def transient_pmf(p: ModelParams, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -593,13 +584,10 @@ def transient_pmf(p: ModelParams, horizon: int) -> tuple[np.ndarray, np.ndarray]
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon!r}")
-    n = p.n_servers
-    if horizon == 0:
-        return np.array([n]), np.ones(1)
     lower, top = _transient_window(p, horizon)
     kernel = build_kernel(p, top, lower)
     pi = np.zeros(top - lower + 1)
-    pi[n - lower] = 1.0
+    pi[p.n_servers - lower] = 1.0
     for _ in range(horizon):
         pi = kernel.step(pi)
     return kernel.states, pi

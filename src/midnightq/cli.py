@@ -164,8 +164,7 @@ def _cmd_simulate(cfg: RunConfig) -> _Result:
     p = cfg.model_params()
     if cfg.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {cfg.steps}")
-    # The path, and the float64 copy of it that tail.std() makes.
-    chain_mod._check_budget(16 * (cfg.steps + 1), f"a path of {cfg.steps} days needs",
+    chain_mod._check_budget(8 * (cfg.steps + 1), f"a path of {cfg.steps} days needs",
                             "lower --steps")
     if p.load >= 1.0:
         sys.stderr.write(
@@ -175,14 +174,14 @@ def _cmd_simulate(cfg: RunConfig) -> _Result:
     path = chain_mod.simulate_path(p, cfg.steps, cfg.seed)
     burn_in = min(10_000, cfg.steps // 10)
     table = chain_mod.empirical_pmf(path.counts, burn_in=burn_in)
-    tail = path.counts[burn_in:]
+    mean, sd = chain_mod.lattice_moments(*table)
     fields = {
         "steps": cfg.steps,
         "burn_in": burn_in,
         "seed": cfg.seed,
-        "mean": float(tail.mean()),
-        "mean_se": chain_mod.batch_means_se(tail),
-        "sd": float(tail.std()),
+        "mean": mean,
+        "mean_se": chain_mod.batch_means_se(path.counts[burn_in:]),
+        "sd": sd,
     }
     return table, fields
 

@@ -93,7 +93,7 @@ def compare_methods(
     return ComparisonReport(
         params=p,
         lattice=pmf.support,
-        exact=pmf.mass / pmf.mass.sum(),
+        exact=pmf.mass,
         formula=formula_mass / formula_mass.sum(),
         projection=projection_mass / projection_mass.sum(),
     )

@@ -62,9 +62,7 @@ class TransitionKernel:
 def transition_density(kernel: TransitionKernel, x, y):
     """Density of tomorrow's state ``y`` given today's state ``x``."""
     means, sd = kernel.step_law(x)
-    z = (np.asarray(y, dtype=float) - means) / sd
-    out = np.exp(-0.5 * z * z) / (sd * _SQRT2PI)
-    return out if out.ndim else float(out)
+    return NormalDensity(means, sd * sd)(y)
 
 
 @dataclass(frozen=True, eq=False)

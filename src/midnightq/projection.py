@@ -415,16 +415,16 @@ class RatioReconstruction:
         alpha, self.residual = solve_gram(system)
         self._system = system
         self.alpha = alpha
-        one = float(system.quad_w.sum())  # the constant function's squared norm
-        norm_sq = float(one - 2.0 * alpha @ system.rhs + alpha @ dsymv(1.0, system.matrix, alpha))
-        if norm_sq <= 0.0:
+        # The remainder sqrt(w) (1 - L f^T alpha) at the nodes, by one dgemv.
+        root_w = np.sqrt(system.quad_w)
+        remainder = root_w - dgemv(1.0, system.weighted_lf.T, alpha)
+        self.norm_sq = float(remainder @ remainder)
+        if not self.norm_sq > 0.0:
             raise GramError(
                 "projection captured the constant function (nonpositive remainder norm)"
             )
-        self.norm_sq = norm_sq
-        # w (1 - L f^T alpha) / norm_sq by one dgemv, never dividing by r: it underflows.
-        lf_alpha = dgemv(1.0, system.weighted_lf.T, alpha)
-        self.node_mass = (system.quad_w - np.sqrt(system.quad_w) * lf_alpha) / norm_sq
+        # w (1 - L f^T alpha) / norm_sq, never dividing by r: it underflows.
+        self.node_mass = root_w * remainder / self.norm_sq
 
     def projected(self, x):
         """The projected constant function, evaluable anywhere.

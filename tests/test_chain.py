@@ -26,6 +26,8 @@ from midnightq.chain import (
     _cell_table,
     _saturated_steps,
     _step_cuts,
+    _step_law,
+    _transient_window,
     _trim,
     batch_means_se,
     binomial_pmf,
@@ -73,9 +75,38 @@ class TestBuildKernel:
     def test_empty_state_row_is_truncated_poisson(self):
         p = ModelParams(4, 1.3, 0.3)
         kernel = build_kernel(p, truncation=40)
-        expected = poisson_pmf(1.3, 40)
+        expected = poisson_pmf(1.3, 0, 40)
         expected[-1] += 1.0 - expected.sum()
         assert np.abs(dense_rows(kernel)[0] - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("window", ["from 0", "stationary", "transient"])
+    def test_lowest_row_is_the_step_law_its_up_reach_reads(self, window, params_small,
+                                                           params_large):
+        # Row L is _step_law over _arrival_window, the law ku is read from,
+        # cut to the steps -kl..ku and normalized, bit for bit; with L > 0
+        # its steps below 0 are folded into L.  From 0 (N = 18), on the
+        # stationary window at N = 500 (L = 303) and on a 10-day transient
+        # window at N = 400.
+        if window == "from 0":
+            kernel = build_kernel(params_small)
+        elif window == "stationary":
+            kernel = stationary_kernel(params_large)
+        else:
+            lower, top = _transient_window(limit_params(400), 10)
+            kernel = build_kernel(limit_params(400), top, lower)
+        p, kl, ku, lower = kernel.params, kernel.kl, kernel.ku, kernel.lower
+        assert (lower > 0) == (window != "from 0")
+        assert kernel.band.shape[0] > ku  # row L reaches no fold at the top
+        first, steps = _step_law(min(lower, p.n_servers), p.daily_service_prob,
+                                 _arrival_window(p.daily_arrival_rate))
+        lo = max(-kl - first, 0)
+        row = steps[lo : ku - first + 1]
+        expected = np.zeros(kl + ku + 1)
+        expected[kl + first + lo : kl + first + lo + row.size] = row / row.sum()
+        if lower > 0:
+            expected[kl] += expected[:kl].sum()
+            expected[:kl] = 0.0
+        assert np.array_equal(kernel.band[0], expected)
 
     def test_truncation_below_server_count_rejected(self):
         with pytest.raises(ValueError, match="--truncation 9 is below the server count 10"):
@@ -448,7 +479,7 @@ class TestSimulatePath:
         offset, cuts = _step_cuts(busy, mu, _NO_ARRIVALS)
         implied = np.zeros(busy + 1)  # index i is the step i - busy
         implied[offset + busy : offset + busy + len(cuts) + 1] = np.diff([0.0, *cuts, 1.0])
-        pmf = binomial_pmf(busy, mu)
+        pmf = binomial_pmf(busy, mu, 0, busy)
         assert offset >= -busy
         assert np.abs(implied[::-1] - pmf).sum() <= abs(1.0 - pmf.sum()) + 1e-14
 
@@ -509,7 +540,7 @@ class TestSimulatePath:
         cases += [(int(rng.integers(1, 30_000)), float(rng.uniform(0.01, 0.99))) for _ in range(400)]
         for trials, prob in cases:
             first, pmf = _binomial_window(trials, prob)
-            offset, full = _trim(binomial_pmf(trials, prob))
+            offset, full = _trim(binomial_pmf(trials, prob, 0, trials))
             assert first == offset
             assert np.array_equal(pmf, full)
 
@@ -646,6 +677,12 @@ class TestTransientPMF:
     def test_zero_horizon_is_the_start(self, params_small):
         states, mass = transient_pmf(params_small, 0)
         assert states.tolist() == [params_small.n_servers] and mass.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n", [18, 400])
+    def test_zero_horizon_window_is_the_start(self, n):
+        # No day, no rise: the one-state window that transient_pmf steps
+        # zero times.
+        assert _transient_window(limit_params(n), 0) == (n, n)
 
     def test_refuses_negative_horizon(self, params_small):
         with pytest.raises(ValueError, match="horizon"):

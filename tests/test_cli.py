@@ -4,6 +4,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestCommands:
              (projection, "build_basis")),
             (["compare", *SMALL_ARGS, "--elements", "128"], "--elements",
              (projection, "build_basis")),
-            (["simulate", *SMALL_ARGS, "--steps", "100000"], "--steps",
+            (["simulate", *SMALL_ARGS, "--steps", "200000"], "--steps",
              (chain, "simulate_path")),
             (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--replications", "10000"],
              "--replications", (chain, "simulate_replications")),
@@ -274,7 +275,7 @@ class TestCommands:
     def test_input_sized_arrays_over_budget_exit_2(self, argv, flag, allocator, monkeypatch,
                                                     capsys):
         # Under a 1 MiB budget: 2.9 MB of Gram assembly at 128 elements, a
-        # 1.6 MB path of 10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
+        # 1.6 MB path of 2·10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
         # 4,001-point formula table.  Each is refused before the function
         # that would allocate it is called.
         monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
@@ -451,6 +452,30 @@ class TestCommands:
             ses.append(payload["mean_se"])
         spread = statistics.stdev(means)
         assert all(spread / 3 <= se <= 3 * spread for se in ses)
+
+    def test_simulate_mean_and_sd_are_its_printed_law_s(self, capsys):
+        args = ["simulate", *SMALL_ARGS, "--steps", "100000", "--seed", "3", "--format", "json"]
+        assert main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        mean, sd = chain.lattice_moments(np.array(out["states"]), np.array(out["probabilities"]))
+        assert (out["mean"], out["sd"]) == (mean, sd)
+
+    def test_simulate_holds_the_path_and_one_block(self, tmp_path):
+        # The int64 path, 8 (s + 1) bytes, plus a fixed allowance of 6 MiB:
+        # one 65,536-day block (its uniforms, steps and cell lookups, 512 KiB
+        # each, and the Python lists the day loop reads, up to 2 MiB each),
+        # the saturated cell table and the occupation table.  Measured: 5.3
+        # MB over the path.  A float64 copy of the path, 8 MB, does not fit.
+        steps = 1_000_000
+        args = ["simulate", "--n", "66", "--lambda", "11.37", "--mean-los", "5.3",
+                "--steps", str(steps), "--out", str(tmp_path / "sim.csv")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (steps + 1) + 6 * 2**20
 
     def test_formula_emits_density(self, tmp_path):
         out = tmp_path / "formula.csv"

@@ -25,6 +25,18 @@ def _assert_close(got, want, path=""):
         assert got == want, path
 
 
+@pytest.mark.parametrize("n, lam", [(18, "3.03"), (66, "11.37"), (500, "90.95")])
+def test_exact_summary_is_the_exact_commands(n, lam, capsys):
+    # compare summarizes the exact law as stationary_pmf returns it, so its
+    # mean and sd are exact's, bit for bit.
+    args = ["--n", str(n), "--lambda", lam, "--mean-los", "5.3"]
+    assert main(["exact", *args, "--format", "json"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(["compare", *args]) == 0
+    (summary,) = [m for m in json.loads(capsys.readouterr().out)["methods"] if m["name"] == "exact"]
+    assert (summary["mean"], summary["sd"]) == (exact["mean"], exact["sd"])
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN, key=int))
 def test_compare_matches_golden_output(n, capsys):
     # Recorded from `compare` when the Gram system and the reconstruction

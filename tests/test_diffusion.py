@@ -10,6 +10,7 @@ from midnightq import (
     DiffusionParams,
     LimitHarnessConfig,
     ModelParams,
+    NormalDensity,
     TransitionKernel,
     UnstableRegimeError,
     derive_diffusion_params,
@@ -42,6 +43,17 @@ class TestTransitionDensity:
         kernel = TransitionKernel(derive_diffusion_params(params_small), params_small.daily_service_prob)
         for x in (-30.0, -5.0, -0.1, 0.0, 0.1, 4.0, 25.0):
             assert abs(integrate_density(kernel, x) - 1.0) <= 1e-10
+
+    def test_is_the_normal_density_of_the_step(self, params_small):
+        # The step from x is Normal(step_base(x) + drift, variance), evaluated
+        # by NormalDensity itself, bit for bit, on both branches.
+        d = derive_diffusion_params(params_small)
+        kernel = TransitionKernel(d, params_small.daily_service_prob)
+        x = np.linspace(-30.0, 30.0, 401)
+        y = x[::-1] / 2.0
+        normal = NormalDensity(kernel.step_base(x) + d.drift, d.variance)
+        assert np.array_equal(transition_density(kernel, x, y), normal(y))
+        assert isinstance(transition_density(kernel, -3.0, -2.0), float)
 
     def test_origin_density_peaks_at_drift(self):
         kernel = TransitionKernel(TOY, 0.5)

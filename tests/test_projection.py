@@ -1,12 +1,13 @@
 import json
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import svdvals
+from scipy.linalg.blas import dgemv
 from scipy.special import ndtr
 
 from midnightq import (
@@ -632,6 +633,25 @@ class TestReconstruction:
         assert math.isfinite(diag["condition_estimate"])
         assert diag["clipped_mass"] <= 1e-6
         assert np.all(density >= 0.0)
+
+    @pytest.mark.parametrize("name", ["params_small", "params_medium", "params_large"])
+    def test_remainder_norm_and_node_masses_share_one_remainder(self, request, name):
+        # rho = sqrt(w) - (sqrt(w) L f)^T alpha at the Gram nodes: norm_sq is
+        # rho . rho and the node masses are sqrt(w) rho / norm_sq, bit for bit.
+        system, recon, _ = lattice_projection(request.getfixturevalue(name))
+        root_w = np.sqrt(system.quad_w)
+        rho = root_w - dgemv(1.0, system.weighted_lf.T, recon.alpha)
+        assert recon.norm_sq == rho @ rho
+        assert same_bits(recon.node_mass, root_w * rho / recon.norm_sq)
+
+    @pytest.mark.parametrize("weight", [1.0, math.nan])
+    def test_remainder_norm_not_positive_refused(self, weight):
+        # One node whose L f is the constant function: the remainder is 0,
+        # and with a NaN weight it is NaN; neither norm is positive.
+        system = replace(synthetic_system([[1.0]], [1.0]), quad_w=np.array([weight]),
+                         weighted_lf=np.ones((1, 1)))
+        with pytest.raises(GramError, match="nonpositive remainder norm"):
+            RatioReconstruction(system)
 
     def test_dou_reference_recovers_unit_ratio(self):
         dou, kernel, basis = dou_setup(64)

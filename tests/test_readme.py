@@ -1,13 +1,41 @@
-"""The README's library example runs as written, its option table matches
-the command line's, and its node count matches the projection's."""
+"""The README's command lines and library example run as written, its
+option table matches the command line's, and its node count matches the
+projection's."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 from midnightq import projection
-from midnightq.cli import _COMMANDS, _OPTIONS
+from midnightq.cli import _COMMANDS, _OPTIONS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def command_lines():
+    """Each ``midnightq ...`` line of the "Command line" section, as argv."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```\n(.*?)```", section, flags=re.S)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("midnightq ")]
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=lambda argv: argv[0])
+def test_command_line_example_runs(argv, tmp_path, capsys):
+    # Each --out goes into tmp_path; without one the output is stdout.
+    argv = list(argv)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0, argv
+    stdout = capsys.readouterr().out
+    output = Path(argv[at]).read_text() if "--out" in argv else stdout
+    assert output.strip(), argv
+
+
+def test_command_lines_show_every_command():
+    assert sorted(argv[0] for argv in command_lines()) == sorted(_COMMANDS)
 
 
 def test_library_example_runs():
