@@ -11,12 +11,11 @@ empirically.
 from .model import (
     DiffusionParams,
     ModelParams,
-    UnstableRegimeError,
+    SolverError,
     derive_diffusion_params,
 )
 from .chain import (
     ChainKernel,
-    ConvergenceError,
     SimulatedPath,
     StationaryPMF,
     build_kernel,
@@ -40,7 +39,6 @@ from .diffusion import (
 )
 from .projection import (
     FemBasis,
-    GramError,
     GramSystem,
     RatioReconstruction,
     assemble_gram,

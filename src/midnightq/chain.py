@@ -22,15 +22,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import gammaln
 
-from .model import ModelParams, UnstableRegimeError
-
-
-class ConvergenceError(RuntimeError):
-    """Stationary solve failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+from .model import ModelParams, SolverError
 
 
 def poisson_pmf(rate: float, first: int, last: int) -> np.ndarray:
@@ -158,11 +150,16 @@ def _window(mean: float, variance: float, top: float, pmf) -> tuple[int, np.ndar
     ``pmf(first, last)`` evaluates the law on {first, ..., last}.  It is
     called only within 12 standard deviations (plus 30) of the mean,
     outside of which each tail holds far less than ``_TRIM``, so the
-    window holds O(sd) counts.
+    window holds O(sd) counts.  Refuses with ValueError, before it is
+    evaluated, a window whose evaluation, four float64 arrays of its size
+    at once, would take over ``_memory_budget``.
     """
     spread = 12.0 * math.sqrt(variance) + 30.0
     first = max(math.floor(mean - spread), 0)
-    lo, kept = _trim(pmf(first, min(math.ceil(mean + spread), top)))
+    last = min(math.ceil(mean + spread), top)
+    _check_budget(32 * (last - first + 1), f"a pmf window of {last - first + 1} counts needs",
+                  "lower --n or the arrival rate")
+    lo, kept = _trim(pmf(first, last))
     return first + lo, kept
 
 
@@ -206,7 +203,8 @@ def _reaches(law: tuple[int, np.ndarray]) -> tuple[int, int]:
 
 
 def build_kernel(
-    p: ModelParams, truncation: int | None = None, lower: int = 0
+    p: ModelParams, truncation: int | None = None, lower: int = 0,
+    advice: str = "set a lower --truncation",
 ) -> ChainKernel:
     """Build the one-day transition band on {lower, ..., truncation}.
 
@@ -224,7 +222,7 @@ def build_kernel(
 
     Refuses with ValueError, before allocating, a window whose banded LU
     storage, ``8 (2 ku + kl + 1) (K - lower + 1)`` bytes, would take over
-    half of physical memory.
+    half of physical memory; ``advice`` ends the refusal.
     """
     if truncation is None:
         truncation = stationary_window(p)[1]
@@ -241,7 +239,7 @@ def build_kernel(
     _check_budget(
         8 * (2 * ku + kl + 1) * size,
         f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs",
-        "set a lower --truncation",
+        advice,
     )
 
     band = np.zeros((size, kl + ku + 1))
@@ -279,10 +277,10 @@ def build_kernel(
 
 
 def _lapack_check(routine: str, info: int) -> None:
-    """ConvergenceError for a failed LAPACK call; info > 0 is a zero pivot."""
+    """SolverError for a failed LAPACK call; info > 0 is a zero pivot."""
     if info != 0:
         reason = f"singular system, zero pivot {info}" if info > 0 else f"bad argument {-info}"
-        raise ConvergenceError(f"banded solve failed in {routine}: {reason}", residual=math.nan)
+        raise SolverError(f"banded solve failed in {routine}: {reason}")
 
 
 def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
@@ -292,7 +290,7 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     One banded LU solve of P^T - I with the balance equation of the state
     x = lam / mu (held to the window), which carries high mass, replaced by
     pi_x = 1, then one step of iterative refinement with the same factor,
-    then normalization.  Raises ConvergenceError (carrying the residual) if
+    then normalization.  Raises SolverError (carrying the residual) if
     the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
@@ -300,7 +298,7 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
         raise ValueError(f"tol must be positive, got {tol!r}")
     band, kl, ku = kernel.band, kernel.kl, kernel.ku
     if not np.isfinite(band).all():
-        raise ConvergenceError("kernel holds non-finite entries", residual=math.nan)
+        raise SolverError("kernel holds non-finite entries")
     p, lower, top = kernel.params, kernel.lower, kernel.truncation_level
     size = band.shape[0]
     pin = min(max(int(p.daily_arrival_rate / p.daily_service_prob), lower), top) - lower
@@ -329,7 +327,7 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     pi += solve(correction)
     pi /= pi.sum()
     if pi.min() < -1e-10:
-        raise ConvergenceError(
+        raise SolverError(
             f"stationary solve produced negative mass {pi.min():.3e}",
             residual=float(np.abs(kernel.step(pi) - pi).sum()),
         )
@@ -337,7 +335,7 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     pi /= pi.sum()
     residual = float(np.abs(kernel.step(pi) - pi).sum())
     if not residual <= tol:
-        raise ConvergenceError(
+        raise SolverError(
             f"stationary solve did not reach tol={tol:g}; residual={residual:.3e}",
             residual=residual,
         )
@@ -412,11 +410,13 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
     A - D, A ~ Poisson(lam) and D ~ Binomial(min(x, N), mu).  From x >= N
     the step does not depend on x, so a block's saturated steps are all
     looked up at once in a cell table; below N the step table of a busy
-    count is built when the path first visits it.
+    count is built when the path first visits it.  The two N-entry lists
+    of those tables are refused first (ValueError) over ``_memory_budget``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     n = p.n_servers
+    _check_budget(16 * n, f"step tables of {n} busy counts need", "lower --n")
     mu = p.daily_service_prob
     rng = _path_rng(seed)
 
@@ -504,11 +504,11 @@ def stationary_window(p: ModelParams) -> tuple[int, int]:
     j) <= exp(-t j) (Kingman, 1970).  K is the least k + ceil(60 ln 2 / t),
     t the largest such t of the grid, over up to 64 levels spaced
     geometrically over (lam / mu, N], N included: at low load K can be
-    below N.  Refuses load >= 1 (UnstableRegimeError) and a load so near 1
+    below N.  Refuses load >= 1 (SolverError) and a load so near 1
     that no t qualifies at k = N (ValueError; K would pass N + 4.1e7).
     """
     if p.load >= 1.0:
-        raise UnstableRegimeError(f"no stationary law at load {p.load:.6g} >= 1")
+        raise SolverError(f"no stationary law at load {p.load:.6g} >= 1")
     n, offered = p.n_servers, p.daily_arrival_rate / p.daily_service_prob
     busy = np.unique(np.ceil(np.geomspace(n, offered, 64, endpoint=False)))
     t, cgf = _saturated_cgf(p, busy)
@@ -524,7 +524,8 @@ def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKer
     """``build_kernel`` on ``stationary_window``, K set by ``truncation`` if given.
 
     Refuses a ``truncation`` below min(N, K): at low load the default K is
-    below N, and any K above it also bounds the stationary count.
+    below N, and any K above it also bounds the stationary count.  Only
+    a ``truncation`` above K is advised lower: below K it cuts the law.
     """
     lower, top = stationary_window(p)
     if truncation is None:
@@ -533,7 +534,9 @@ def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKer
         floor = (f"the server count {p.n_servers}" if p.n_servers <= top
                  else f"the default top {top}")
         raise ValueError(f"--truncation {truncation} is below {floor}")
-    return build_kernel(p, truncation, lower)
+    advice = ("set a lower --truncation" if truncation > top
+              else "lower the load or the system size (--n, --lambda)")
+    return build_kernel(p, truncation, lower, advice)
 
 
 def _transient_window(p: ModelParams, horizon: int) -> tuple[int, int]:
@@ -585,7 +588,7 @@ def transient_pmf(p: ModelParams, horizon: int) -> tuple[np.ndarray, np.ndarray]
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon!r}")
     lower, top = _transient_window(p, horizon)
-    kernel = build_kernel(p, top, lower)
+    kernel = build_kernel(p, top, lower, "lower --n or --steps")
     pi = np.zeros(top - lower + 1)
     pi[p.n_servers - lower] = 1.0
     for _ in range(horizon):

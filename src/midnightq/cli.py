@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compare import compare_methods
-from .model import ModelParams, UnstableRegimeError, derive_diffusion_params, service_prob_of
+from .model import ModelParams, SolverError, derive_diffusion_params, service_prob_of
 from . import chain as chain_mod
 from . import diffusion as diff_mod
 from . import projection as proj_mod
@@ -316,28 +316,18 @@ def build_config(argv: list[str]) -> RunConfig:
     return cfg
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit status."""
-    handler = _COMMANDS[cfg.command]
-    try:
-        _write(cfg, *handler(cfg))
-        return 0
-    except (chain_mod.ConvergenceError, proj_mod.GramError, UnstableRegimeError) as err:
-        sys.stderr.write(f"solver failure: {err}\n")
-        return 3
-    except ValueError as err:
-        sys.stderr.write(f"invalid configuration: {err}\n")
-        return 2
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = build_config(argv)
+        _write(cfg, *_COMMANDS[cfg.command](cfg))
+        return 0
+    except SolverError as err:
+        sys.stderr.write(f"solver failure: {err}\n")
+        return 3
     except (ValueError, OSError) as err:
         sys.stderr.write(f"invalid configuration: {err}\n")
         return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

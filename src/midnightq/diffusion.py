@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .model import DiffusionParams, ModelParams, UnstableRegimeError
+from .model import DiffusionParams, ModelParams, SolverError
 from . import chain as chain_mod
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -139,7 +139,7 @@ def proxy_density(d: DiffusionParams, mu: float) -> PiecewiseDensity:
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
     if d.tail_rate <= 0.0 or d.drift >= 0.0:
-        raise UnstableRegimeError(
+        raise SolverError(
             "proxy density not normalizable (γ ≤ 0): drift must be negative"
         )
     center = d.gaussian_center

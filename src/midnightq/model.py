@@ -14,8 +14,14 @@ import math
 from dataclasses import dataclass
 
 
-class UnstableRegimeError(ValueError):
-    """The route needs a stable regime: load below one, negative drift."""
+class SolverError(RuntimeError):
+    """A route gives no answer: the queue has no stationary law (load >= 1),
+    or a chain or Gram solve fails or misses its tolerance.  ``residual`` is
+    the solve's residual where one was reached, else None."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from scipy.linalg import cho_factor, cho_solve, svdvals
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.special import ndtr
 
-from .model import DiffusionParams
+from .model import DiffusionParams, SolverError
 from .chain import _check_budget
 from .diffusion import _SQRT2PI, TransitionKernel, proxy_density
 
@@ -43,14 +43,6 @@ _REL_TOL = 1e-8
 # tail panels, and the pieces of a bin mass beyond them.
 _ORDER = 8
 _BLOCK = 64  # rows or columns of a Gram-assembly matrix that one temporary holds
-
-
-class GramError(RuntimeError):
-    """Gram assembly or solve failed in a way that signals misconfiguration."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +319,7 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         bad = int(np.argmin(finite))
         panel = bad // _ORDER
         where = f"element {panel}" if panel < m else f"tail panel {panel - m}"
-        raise GramError(f"non-finite reference weight in {where} (x={quad_x[bad]!r})")
+        raise SolverError(f"non-finite reference weight in {where} (x={quad_x[bad]!r})")
 
     # One copy of L f, kept by the system: the rhs reads it, then dsyrk reads
     # it weighted by sqrt(w) in place and fills its upper triangle.  The
@@ -343,7 +335,7 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         k = j + _BLOCK
         matrix[j:, j:k] = np.triu(matrix[j:, j:k]) + np.tril(matrix[j:k, j:].T, -1)
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise GramError("non-finite Gram entries; check the reference density scale")
+        raise SolverError("non-finite Gram entries; check the reference density scale")
     # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, _BLOCK rows of |.| at a time.
     abs_rhs = np.concatenate([dgemv(1.0, np.abs(lf[j:j + _BLOCK]).T, root_w, trans=1)
                               for j in range(0, m + 1, _BLOCK)])
@@ -368,7 +360,7 @@ def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
     factor to remove it.  The acceptance test is on the residual: any
     coefficient vector reproducing the right-hand side is as good as any
     other, because the projection itself is unique.  Returns (alpha,
-    residual).  Raises GramError if the factorization fails or the residual
+    residual).  Raises SolverError if the factorization fails or the residual
     exceeds the tolerance.
     """
     a = system.matrix
@@ -386,13 +378,13 @@ def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
     try:
         factor = cho_factor(shifted, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as err:
-        raise GramError(f"Gram factorization failed: {err}; check basis and quadrature")
+        raise SolverError(f"Gram factorization failed: {err}; check basis and quadrature")
     alpha = cho_solve(factor, b)
     for _ in range(2):
         alpha += cho_solve(factor, b - dsymv(1.0, a, alpha))
     res = float(np.linalg.norm(dsymv(1.0, a, alpha) - b))
     if not res <= tol:
-        raise GramError(
+        raise SolverError(
             f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
             "check basis and quadrature",
             residual=res,
@@ -420,7 +412,7 @@ class RatioReconstruction:
         remainder = root_w - dgemv(1.0, system.weighted_lf.T, alpha)
         self.norm_sq = float(remainder @ remainder)
         if not self.norm_sq > 0.0:
-            raise GramError(
+            raise SolverError(
                 "projection captured the constant function (nonpositive remainder norm)"
             )
         # w (1 - L f^T alpha) / norm_sq, never dividing by r: it underflows.

@@ -9,9 +9,8 @@ from scipy.optimize import brentq
 
 from midnightq import (
     ChainKernel,
-    ConvergenceError,
     ModelParams,
-    UnstableRegimeError,
+    SolverError,
     build_kernel,
     simulate_path,
     simulate_replications,
@@ -327,7 +326,7 @@ class TestStationaryPMF:
 
     def test_unreachable_tolerance_raises_with_residual(self, params_small):
         kernel = build_kernel(params_small)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(SolverError) as err:
             stationary_pmf(kernel, tol=1e-17)
         assert err.value.residual > 1e-17
 
@@ -390,7 +389,7 @@ class TestStationaryPMF:
         assert tv(pi, full) <= 1e-13
 
     def test_overloaded_chain_refused(self):
-        with pytest.raises(UnstableRegimeError, match="load"):
+        with pytest.raises(SolverError, match="load"):
             stationary_pmf(build_kernel(ModelParams(5, 1.5, 0.25)))
 
     def test_nan_residual_refused(self, params_small):
@@ -398,7 +397,7 @@ class TestStationaryPMF:
         band = kernel.band.copy()
         band[3, 5] = np.nan
         kernel = ChainKernel(40, band, kernel.kl, kernel.ku, params_small)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(SolverError):
             stationary_pmf(kernel)
 
     def test_singular_factor_refused(self, params_small):
@@ -407,7 +406,7 @@ class TestStationaryPMF:
         band = np.zeros_like(kernel.band)
         band[:, kernel.kl] = 1.0
         kernel = ChainKernel(40, band, kernel.kl, kernel.ku, params_small)
-        with pytest.raises(ConvergenceError, match="singular"):
+        with pytest.raises(SolverError, match="singular"):
             stationary_pmf(kernel)
 
 

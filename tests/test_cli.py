@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midnightq import chain, diffusion, projection
+from midnightq import SolverError, chain, compare_methods, derive_diffusion_params, diffusion
+from midnightq import projection
 from midnightq.cli import _COMMANDS, _OPTIONS, build_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -290,6 +292,106 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and flag in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["exact", "--n", "40000000", "--lambda", "1e7", "--mu", "0.5"], "a pmf window"),
+            (["simulate", "--n", "66", "--lambda", "1e7", "--mu", "0.5", "--steps", "10"],
+             "a pmf window"),
+            (["limit-check", "--n", "100000000", "--mu", "0.5", "--steps", "2",
+              "--replications", "10"], "a pmf window"),
+            (["simulate", "--n", "100000", "--lambda", "1", "--mu", "0.5", "--steps", "10"],
+             "step tables"),
+        ],
+        ids=["exact", "simulate", "limit-check", "simulate-tables"],
+    )
+    def test_pmf_windows_and_step_tables_over_budget_exit_2(self, argv, what, monkeypatch,
+                                                             capsys):
+        # Under a 1 MiB budget: Poisson windows of 107,393, 75,957 and 169,759
+        # counts at 32 bytes each, and simulate's step tables of 10^5 busy
+        # counts at 16 bytes each.  Each is refused before any pmf is
+        # evaluated; simulate_path evaluates its arrival window before it
+        # makes the tables.
+        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+
+        def evaluating(*args):
+            raise AssertionError("evaluated past the memory refusal")
+
+        monkeypatch.setattr(chain, "poisson_pmf", evaluating)
+        monkeypatch.setattr(chain, "binomial_pmf", evaluating)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        refusal = err.splitlines()[-1]  # simulate warns of load >= 1 first
+        assert refusal.startswith(f"invalid configuration: {what}") and "--n" in refusal
+
+    @pytest.mark.parametrize(
+        "argv, advised",
+        [
+            # limit-check reads no --truncation: --n and --steps set its window.
+            (["limit-check", "--n", "400", "--mu", "0.5", "--steps", "10", "--replications",
+              "10"], {"--n", "--steps"}),
+            # At load 0.5 the default top, 2,524, is below N: a lower
+            # --truncation is refused.
+            (["exact", "--n", "4000", "--lambda", "1000", "--mu", "0.5"], {"--n", "--lambda"}),
+            # At load 0.9996 the default top is 104,397; a lower --truncation,
+            # given or not, cuts the law.
+            (["exact", "--n", "18", "--lambda", "3.395", "--mean-los", "5.3"],
+             {"--n", "--lambda"}),
+            (["exact", "--n", "18", "--lambda", "3.395", "--mean-los", "5.3", "--truncation",
+              "50000"], {"--n", "--lambda"}),
+            # Above the default top, 359, a lower --truncation is the remedy.
+            (["compare", *SMALL_ARGS, "--truncation", "100000"], {"--truncation"}),
+        ],
+        ids=["limit-check", "low-load", "near-critical", "near-critical-cut", "above-top"],
+    )
+    def test_banded_lu_refusal_advises_flags_the_command_reads(self, argv, advised,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: banded LU at truncation")
+        assert set(re.findall(r"--[a-z-]+", err)) == advised
+        reads = {"--" + key.replace("_", "-") for key, (*_, commands) in _OPTIONS.items()
+                 if argv[0] in commands}
+        assert advised <= reads
+
+    @pytest.mark.parametrize(
+        "argv, solve",
+        [
+            # load 1.5 / (5 * 0.25) = 1.2: no stationary law.
+            ([command, "--n", "5", "--lambda", "1.5", "--mu", "0.25"], solve)
+            for command, solve in [
+                ("exact", lambda cfg: chain.stationary_kernel(cfg.model_params())),
+                ("formula", lambda cfg: diffusion.proxy_density(
+                    derive_diffusion_params(cfg.model_params()), cfg.mu)),
+                ("projection", lambda cfg: projection.project_stationary_density(
+                    derive_diffusion_params(cfg.model_params()), cfg.mu)),
+                ("compare", lambda cfg: compare_methods(cfg.model_params())),
+            ]
+        ] + [
+            # The Gram matrix of a nearly empty system is not positive definite.
+            (["projection", "--n", "100", "--lambda", "1e-6", "--mu", "0.5"],
+             lambda cfg: projection.project_stationary_density(
+                 derive_diffusion_params(cfg.model_params()), cfg.mu)),
+            (["exact", *SMALL_ARGS, "--tol", "1e-17"],
+             lambda cfg: chain.stationary_pmf(chain.stationary_kernel(cfg.model_params()),
+                                              tol=cfg.tol)),
+        ],
+        ids=["exact-load", "formula-load", "projection-load", "compare-load", "gram", "tol"],
+    )
+    def test_every_solver_failure_exits_3(self, argv, solve, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("solver failure: ")
+        cfg = build_config(argv)
+        with pytest.raises(SolverError) as err:
+            solve(cfg)
+        if "--tol" in argv:
+            assert isinstance(err.value.residual, float) and err.value.residual > cfg.tol
 
     @pytest.mark.parametrize("command", ["exact", "compare"])
     def test_nan_tol_exit_2(self, command, capsys):

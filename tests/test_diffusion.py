@@ -12,7 +12,7 @@ from midnightq import (
     ModelParams,
     NormalDensity,
     TransitionKernel,
-    UnstableRegimeError,
+    SolverError,
     derive_diffusion_params,
     dou_stationary_density,
     proxy_density,
@@ -98,7 +98,7 @@ class TestProxyDensity:
     def test_balanced_load_rejected(self):
         mu = 0.25
         p = ModelParams(40, 40 * mu, mu)
-        with pytest.raises(UnstableRegimeError):
+        with pytest.raises(SolverError):
             proxy_density(derive_diffusion_params(p), mu)
 
     def test_idle_branch_mode_at_center_large_system(self, params_large):

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from midnightq import (
     DiffusionParams,
     ModelParams,
-    GramError,
+    SolverError,
     RatioReconstruction,
     TransitionKernel,
     assemble_gram,
@@ -537,7 +537,7 @@ class TestAssembleGram:
             return np.exp(np.asarray(x, dtype=float) ** 4)
 
         with np.errstate(over="ignore"):
-            with pytest.raises(GramError, match="element"):
+            with pytest.raises(SolverError, match="element"):
                 assemble_gram(basis, kernel, exploding)
 
 
@@ -589,7 +589,7 @@ class TestSolveGram:
             assert weighted_norm <= 1e-10
 
     def test_indefinite_system_raises(self):
-        with pytest.raises(GramError, match="factorization"):
+        with pytest.raises(SolverError, match="factorization"):
             solve_gram(synthetic_system(np.diag([1.0, -1.0]), np.array([1.0, 1.0])))
 
     @pytest.mark.parametrize(
@@ -608,7 +608,7 @@ class TestSolveGram:
     def test_inconsistent_system_raises_with_residual(self):
         a = np.diag([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        with pytest.raises(GramError) as err:
+        with pytest.raises(SolverError) as err:
             solve_gram(synthetic_system(a, b))
         assert err.value.residual == pytest.approx(1.0, abs=1e-6)
 
@@ -650,7 +650,7 @@ class TestReconstruction:
         # and with a NaN weight it is NaN; neither norm is positive.
         system = replace(synthetic_system([[1.0]], [1.0]), quad_w=np.array([weight]),
                          weighted_lf=np.ones((1, 1)))
-        with pytest.raises(GramError, match="nonpositive remainder norm"):
+        with pytest.raises(SolverError, match="nonpositive remainder norm"):
             RatioReconstruction(system)
 
     def test_dou_reference_recovers_unit_ratio(self):

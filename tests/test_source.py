@@ -1,9 +1,12 @@
 """Checks on the shape of the package's source, read with ``ast``."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
+
+from midnightq import SolverError
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "midnightq").glob("*.py"))
 
@@ -39,3 +42,88 @@ def test_every_parameter_is_read(path):
 def test_an_ignored_parameter_is_found():
     source = "def f(a, b, *, c=1):\n    return a + (lambda d: c)(b)\n"
     assert unread_parameters(source) == ["lambda(d)"]
+
+
+def exception_classes(sources: dict[str, str]) -> list[str]:
+    """``file:Class`` for each class that derives, through classes of
+    ``sources`` or directly, from a builtin exception."""
+    classes = [(name, node) for name, source in sources.items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    known = {name for name, kind in vars(builtins).items()
+             if isinstance(kind, type) and issubclass(kind, BaseException)}
+    found: list[str] = []
+    while True:
+        new = [(name, node) for name, node in classes if node.name not in known
+               and any(ast.unparse(base).rsplit(".", 1)[-1] in known for base in node.bases)]
+        if not new:
+            return sorted(found)
+        known |= {node.name for _, node in new}
+        found += [f"{name}:{node.name}" for name, node in new]
+
+
+def foreign_raises(source: str) -> list[str]:
+    """Each ``raise`` that raises neither ValueError nor SolverError and
+    is not a bare re-raise."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(raised).rsplit(".", 1)[-1] not in ("ValueError", "SolverError"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def solver_error_handlers(sources: dict[str, str]) -> list[str]:
+    """``file:function`` around each ``except`` that catches SolverError:
+    by name, by one of its bases, or bare."""
+    catching = {kind.__name__ for kind in SolverError.__mro__}
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                kinds = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                names = {ast.unparse(kind).rsplit(".", 1)[-1] for kind in kinds if kind}
+                if child.type is None or names & catching:
+                    found.append(where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split(':')[0]}:{child.name}")
+            else:
+                visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), f"{name}:<module>")
+    return found
+
+
+PACKAGE = {path.name: path.read_text() for path in SOURCES}
+
+
+def test_one_exception_class():
+    """A route that gives no answer raises model.SolverError; the package
+    defines no other exception."""
+    assert exception_classes(PACKAGE) == ["model.py:SolverError"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_raise_is_a_refusal_or_a_solver_failure(path):
+    """cli.main maps ValueError to exit 2 and SolverError to exit 3; any
+    other exception would end in a traceback."""
+    assert foreign_raises(path.read_text()) == []
+
+
+def test_only_cli_main_catches_solver_errors():
+    assert solver_error_handlers(PACKAGE) == ["cli.py:main"]
+
+
+def test_contract_breaks_are_found():
+    sources = {
+        "model.py": "class SolverError(RuntimeError):\n    pass\n",
+        "chain.py": "class Stalled(SolverError):\n    pass\n"
+                    "def solve():\n    try:\n        raise RuntimeError('x')\n"
+                    "    except (KeyError, Exception):\n        raise\n"
+                    "try:\n    solve()\nexcept:\n    pass\n",
+    }
+    assert exception_classes(sources) == ["chain.py:Stalled", "model.py:SolverError"]
+    assert foreign_raises(sources["chain.py"]) == ["raise RuntimeError('x')"]
+    assert solver_error_handlers(sources) == ["chain.py:solve", "chain.py:<module>"]
