@@ -17,6 +17,7 @@ configuration, 3 for solver failures (diagnostics go to standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -259,6 +260,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="midnightq",

@@ -168,8 +168,6 @@ def dou_stationary_density(theta: float, sigma2: float, mu: float) -> NormalDens
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
-    if not sigma2 > 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     return NormalDensity(mean=theta / mu, variance=sigma2 / (2.0 * mu - mu * mu))
 
 

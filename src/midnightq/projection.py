@@ -224,18 +224,48 @@ def _pf_band(basis: FemBasis, means: np.ndarray, sd: float):
 
 
 def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
-    """L applied to every hat (P f - f) at the points ``x``, P f from ``_pf_band``.
+    """L applied to every hat (P f - f) at the points ``x``, P f from ``_pf_band``."""
+    return _lf(basis, kernel, np.atleast_1d(np.asarray(x, dtype=float)), 0)
+
+
+def _lf(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray, order: int) -> np.ndarray:
+    """L applied to every hat at the points ``x``, whose first m ``order`` are
+    ``order`` nodes in each element in turn, as the Gram's (``_panels``).
+
+    P f is from ``_pf_band`` but on the trailing elements where the kernel
+    steps from x itself: there P f of full hat k + d at node g of element k
+    depends on d and g alone, so the first one's window, on a grid extended
+    past both ends, fills hats 1..m-1; half hats 0 and m take windows of two.
+    Such entries are within Phi(-Z) + (a few ulps of max|x|) / h of P f.
 
     A point of the grid in element j is covered by hats j and j + 1 only,
     but rounding of the node positions can leave a hat one node further
     slightly positive at a node.  So hats j - 1 to j + 2 are subtracted, each
     as the tent max(1 - |x - node| / h, 0); the rest are zero there.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h, m = basis.width, basis.num_elements
-    lf = np.zeros((basis.size, x.size))
-    for part, rows, pf in _pf_band(basis, *kernel.step_law(x)):
-        lf[rows, np.arange(part.start, part.stop)] = pf
+    (h, m, t), (means, sd) = (basis.width, basis.num_elements, basis.nodes), kernel.step_law(x)
+    b, reach, xe = order * m, _REACH_SD * sd, x[: order * m].reshape(m, order)
+    a = order * (1 + max(np.flatnonzero((kernel.step_base(xe) != xe).any(axis=1)), default=-1))
+    lf, rest = np.zeros((basis.size, x.size)), np.r_[:a, b:x.size]
+    for part, rows, pf in _pf_band(basis, means[rest], sd):
+        lf[rows, rest[part]] = pf
+    if a < b:
+        below = (b - a) // order + 2 + math.ceil((reach + abs(kernel.diffusion.drift)) / h)
+        ext = (t[-1] - t[0]) / m * np.arange(1, below + 1)
+        wide = np.concatenate([t[0] - ext[::-1], t, t[-1] + ext])
+        ref = means[a:a + order]
+        first = np.floor((ref - reach - wide[0]) / h).astype(np.intp)
+        _, rows, pf = next(_pf_windows(wide, h, ref, sd, first, math.ceil(2.0 * reach / h) + 2))
+        stencil = np.zeros((wide.size, order))
+        stencil[rows, np.arange(order)] = pf
+        # lf[r, a + order k + g] = stencil[below + r - k, g] for hats r = 1..m-1, k = 0, 1, ...
+        s0, s1, shape = *stencil.strides, (m - 1, (b - a) // order, order)
+        lf[1:m, a:b].reshape(shape)[...] = np.lib.stride_tricks.as_strided(
+            stencil[1 + below:], shape, (s0, -s0, s1), writeable=False)
+        for hat, lo in ((0, 0), (m, m - 1)):
+            cols = a + np.flatnonzero(np.abs(means[a:b] - (t[lo] + t[lo + 1]) / 2) < reach + h)
+            for part, _, pf in _pf_windows(t, h, means[cols], sd, np.full(cols.size, lo), 2):
+                lf[hat, cols[part]] = pf[hat - lo]
     cols = np.flatnonzero((x >= basis.grid_lo) & (x <= basis.grid_hi))
     element = np.clip(np.floor((x[cols] - basis.grid_lo) / h).astype(np.intp), 0, m - 1)
     for offset in (-1, 0, 1, 2):
@@ -324,7 +354,7 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     # One copy of L f, kept by the system: the rhs reads it, then dsyrk reads
     # it weighted by sqrt(w) in place and fills its upper triangle.  The
     # transposes are the Fortran-ordered views BLAS takes without a copy.
-    lf = lf_hat_matrix(basis, kernel, quad_x)
+    lf = _lf(basis, kernel, quad_x, _ORDER)
     rhs = dgemv(1.0, lf.T, quad_w, trans=1)
     root_w = np.sqrt(quad_w)
     lf *= root_w

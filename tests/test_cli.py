@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from midnightq import SolverError, chain, compare_methods, derive_diffusion_params, diffusion
-from midnightq import projection
+from midnightq import cli, projection
 from midnightq.cli import _COMMANDS, _OPTIONS, build_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +75,26 @@ class TestConfigParsing:
         cfg_file.write_text(json.dumps({"n": 18, "lambda": 3.03, "mean_los": 5.3, "seed": 9}))
         cfg = build_config(["simulate", "--config", str(cfg_file), "--seed", "4"])
         assert cfg.seed == 4
+
+    def test_one_parser_carries_no_state_between_calls(self, tmp_path, capsys):
+        # The parser is built once per process; a --config call then a
+        # flags-only call must print what each prints from a fresh parser.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n": 66, "lambda": 11.37, "mean_los": 5.3,
+                                        "elements": 40, "format": "json"}))
+        calls = [["formula", "--config", str(cfg_file)], ["formula", *SMALL_ARGS]]
+        outputs = []
+        for argv in calls + calls[::-1]:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            assert main(argv) == 0
+            fresh.append(capsys.readouterr().out)
+        assert outputs == fresh + fresh[::-1]
+        assert fresh[1].startswith("x,density\n") and len(fresh[1].splitlines()) == 322
+        assert cli._build_parser() is cli._build_parser()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

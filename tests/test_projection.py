@@ -63,16 +63,28 @@ def reach_window(basis, kernel, x):
 
 
 def system_lf(system):
-    """L f at the quadrature nodes of ``system``, as its assembly computed it."""
-    return lf_hat_matrix(system.basis, system.kernel, system.quad_x)
+    """L f at the quadrature nodes of ``system``, as its assembly computed it:
+    its order of nodes in each of m elements and 2 Z tail panels."""
+    order = system.quad_x.size // (system.basis.num_elements + 2 * int(REACH_SD))
+    return projection._lf(system.basis, system.kernel, system.quad_x, order)
 
 
-def band_bound(system, lf):
+def stencil_rounding(system):
+    """How far the assembly's L f may sit from P f - f at its own nodes, past
+    Phi(-Z): a congested entry is copied from the first congested element,
+    and the two sides' node, hat node and step mean (x + drift) are each
+    rounded to half an ulp, 8 half-ulps of max|x| in all.  |dP f/dx| <= 1/h,
+    since P f(x) = E f(x + drift + sd Z) and each hat is 1/h-Lipschitz.
+    """
+    largest = np.abs(np.concatenate([system.quad_x, system.basis.nodes])).max()
+    return 4 * np.spacing(largest) / system.basis.width
+
+
+def band_bound(system, lf, delta=ndtr(-REACH_SD)):
     """Bound on |G_ij - dense G_ij| when each entry of ``lf``, the system's
-    L f, is within Phi(-Z) of its dense value: Phi(-Z) (s_i + s_j + Phi(-Z)
+    L f, is within ``delta`` of its dense value: delta (s_i + s_j + delta
     sum w), s_i = sum w |lf_i|.
     """
-    delta = ndtr(-REACH_SD)
     s = np.abs(lf) @ system.quad_w
     return delta * (s[:, None] + s[None, :] + delta * system.quad_w.sum())
 
@@ -883,17 +895,63 @@ def benchmark_system(request):
     return params, system
 
 
+def block_gap(a, b, rows=128):
+    """max |a - b|, ``rows`` rows at a time."""
+    return max(np.abs(a[i:i + rows] - b[i:i + rows]).max() for i in range(0, a.shape[0], rows))
+
+
+class TestStencil:
+    @pytest.mark.parametrize("name, m, domain", [
+        ("params_small", 160, None), ("params_medium", 160, None), ("params_large", 160, None),
+        ("params_medium", 4, None), ("params_medium", 1200, None),
+        ("params_small", 160, (-10.0, 30.0)), ("params_large", 160, (-10.0, 30.0)),
+        ("params_small", 160, (-3.0, 4.0)), ("params_large", 160, (-3.0, 4.0)),
+    ])
+    def test_assembly_lf_is_within_1e_13_of_lf_hat_matrix(self, request, monkeypatch,
+                                                          name, m, domain):
+        # On (-3, 4) a step's 10-sd reach spans more than the whole grid.
+        params = request.getfixturevalue(name)
+        d = derive_diffusion_params(params)
+        kernel = TransitionKernel(d, params.daily_service_prob)
+        basis = build_basis(*working_domain(d, *(domain or ())), m)
+        x = projection._panels(*projection._gram_panels(basis, kernel))[0]
+        banded = []
+
+        def recording_band(basis, means, sd):
+            banded.append(means.size)
+            return _pf_band(basis, means, sd)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, "_pf_band", recording_band)
+            lf = projection._lf(basis, kernel, x, projection._ORDER)
+        # The congested side was copied, not evaluated hat by hat.
+        assert sum(banded) < x.size - projection._ORDER
+        assert block_gap(lf, lf_hat_matrix(basis, kernel, x)) <= 1e-13
+
+    def test_pulled_kernel_gets_the_direct_lf_bit_for_bit(self):
+        # The always-pulled kernel steps from no state as from itself, so no
+        # element is congested and every node goes through _pf_band.
+        dou, kernel, basis = dou_setup(64)
+        system = assemble_gram(basis, kernel, dou)
+        direct = lf_hat_matrix(basis, kernel, system.quad_x)
+        assert np.array_equal(system_lf(system), direct)
+        assert np.array_equal(system.weighted_lf, direct * np.sqrt(system.quad_w))
+
+
 class TestHatBand:
     def test_lf_and_gram_are_within_the_band_bound_of_dense(self, benchmark_system):
+        # Each entry of the assembly's L f is within Phi(-Z) of its window's
+        # P f, plus the stencil's rounding on the congested side.
         _, system = benchmark_system
         lf, dense = system_lf(system), dense_lf(system)
-        assert np.abs(lf - dense).max() <= ndtr(-REACH_SD)
+        entry = ndtr(-REACH_SD) + stencil_rounding(system)
+        assert np.abs(lf - dense).max() <= entry
         root_w = np.sqrt(system.quad_w)
         weighted = dense * root_w
         abs_weighted = np.abs(dense) * root_w
         floor = 100.0 * np.finfo(float).eps * (abs_weighted @ abs_weighted.T)
         gap = np.abs(system.matrix - weighted @ weighted.T)
-        assert np.all(gap <= band_bound(system, lf) + floor)
+        assert np.all(gap <= band_bound(system, lf, entry) + floor)
 
     def test_projected_is_p_g_minus_g(self, benchmark_system):
         # Per point, P g - g over its own hat window must agree with the

@@ -9,6 +9,8 @@ import pytest
 from midnightq import SolverError
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "midnightq").glob("*.py"))
+# ROADMAP item 9: every addition to src/ is paid for by a deletion.
+SRC_LINE_CEILING = 2178
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -127,3 +129,11 @@ def test_contract_breaks_are_found():
     assert exception_classes(sources) == ["chain.py:Stalled", "model.py:SolverError"]
     assert foreign_raises(sources["chain.py"]) == ["raise RuntimeError('x')"]
     assert solver_error_handlers(sources) == ["chain.py:solve", "chain.py:<module>"]
+
+
+def test_src_stays_within_its_line_ceiling():
+    """Counted as perfbench/worker.py counts ``src_lines``: every line of
+    every ``*.py`` file under src/."""
+    src = Path(__file__).parents[1] / "src"
+    lines = sum(len(p.read_text().splitlines()) for p in sorted(src.rglob("*.py")))
+    assert lines <= SRC_LINE_CEILING
