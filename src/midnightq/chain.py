@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv
 from scipy.special import gammaln
 
 from .model import ModelParams, SolverError
@@ -266,21 +266,13 @@ def build_kernel(
         top = size - 1 - i + kl  # column of state K in row i
         band[i, top] += band[i, top + 1 :].sum()
         band[i, top + 1 :] = 0.0
-    if lower > 0:
-        for i in range(min(kl, size)):
-            bottom = kl - i  # column of state `lower` in row i
-            band[i, bottom] += band[i, :bottom].sum()
-            band[i, :bottom] = 0.0
+    for i in range(min(kl, size)):
+        bottom = kl - i  # column of state `lower` in row i
+        band[i, bottom] += band[i, :bottom].sum()
+        band[i, :bottom] = 0.0
     return ChainKernel(
         truncation_level=k_max, band=band, kl=kl, ku=ku, params=p, lower=lower
     )
-
-
-def _lapack_check(routine: str, info: int) -> None:
-    """SolverError for a failed LAPACK call; info > 0 is a zero pivot."""
-    if info != 0:
-        reason = f"singular system, zero pivot {info}" if info > 0 else f"bad argument {-info}"
-        raise SolverError(f"banded solve failed in {routine}: {reason}")
 
 
 def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
@@ -289,9 +281,9 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
 
     One banded LU solve of P^T - I with the balance equation of the state
     x = lam / mu (held to the window), which carries high mass, replaced by
-    pi_x = 1, then one step of iterative refinement with the same factor,
-    then normalization.  Raises SolverError (carrying the residual) if
-    the kernel holds non-finite entries, the factor is singular, or the
+    pi_x = 1, then normalization, without refinement: ``tol`` refuses a
+    solve that would need it.  Raises SolverError (carrying the residual)
+    if the kernel holds non-finite entries, the factor is singular, or the
     solve leaves negative mass or misses ``tol``.
     """
     if not tol > 0.0:
@@ -302,8 +294,8 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     p, lower, top = kernel.params, kernel.lower, kernel.truncation_level
     size = band.shape[0]
     pin = min(max(int(p.daily_arrival_rate / p.daily_service_prob), lower), top) - lower
-    # LAPACK band storage of P^T - I, column-major: column x holds row x of P
-    # below ku rows of room for the pivoting fill-in.
+    # LAPACK band storage of P^T - I (ku subdiagonals, kl superdiagonals),
+    # column-major: column x holds row x of P below ku rows of pivoting fill-in.
     system = np.zeros((size, 2 * ku + kl + 1))
     system[:, ku:] = band
     system[:, ku + kl] -= 1.0
@@ -311,20 +303,12 @@ def stationary_pmf(kernel: ChainKernel, tol: float = 1e-12) -> StationaryPMF:
     cols = np.arange(max(pin - ku, 0), min(pin + kl + 1, size))
     system[cols, ku + kl + pin - cols] = 0.0
     system[pin, ku + kl] = 1.0
-    factor, pivots, info = dgbtrf(system.T, ku, kl, overwrite_ab=True)
-    _lapack_check("dgbtrf", info)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(factor, ku, kl, rhs, pivots, overwrite_b=True)
-        _lapack_check("dgbtrs", info)
-        return x
-
     rhs = np.zeros(size)
     rhs[pin] = 1.0
-    pi = solve(rhs)
-    correction = pi - kernel.step(pi)
-    correction[pin] = 1.0 - pi[pin]
-    pi += solve(correction)
+    _, _, pi, info = dgbsv(ku, kl, system.T, rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        reason = f"singular system, zero pivot {info}" if info > 0 else f"bad argument {-info}"
+        raise SolverError(f"banded solve failed in dgbsv: {reason}")
     pi /= pi.sum()
     if pi.min() < -1e-10:
         raise SolverError(

@@ -275,10 +275,10 @@ class LimitReport:
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
+    """Two-sample Kolmogorov-Smirnov statistic, taken at the distinct pooled points."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
+    grid = np.unique(np.concatenate([a, b]))
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))

@@ -409,6 +409,20 @@ class TestStationaryPMF:
         with pytest.raises(SolverError, match="singular"):
             stationary_pmf(kernel)
 
+    def test_one_solve_residual_sweep(self):
+        # One banded LU solve, without refinement, on 40 seeded systems (N
+        # up to 2,000, load 0.01-0.99, mean stay 1.05-50 days) and two
+        # near-critical ones: each law balances to 1e-14 and its flow to 1e-8.
+        rng = np.random.default_rng(2026)
+        systems = [(int(rng.integers(1, 2001)), rng.uniform(0.01, 0.99), rng.uniform(1.05, 50))
+                   for _ in range(40)]
+        for n, load, mean_los in [*systems, (500, 0.99, 5.3), (20_000, 0.99, 5.3)]:
+            p = ModelParams.from_mean_los(n, load * n / mean_los, mean_los)
+            pi = stationary_pmf(stationary_kernel(p))
+            assert pi.residual <= 1e-14, (n, load, mean_los)
+            flow = p.daily_arrival_rate - p.daily_service_prob * pi.busy_server_mean()
+            assert abs(flow) <= 1e-8, (n, load, mean_los)
+
 
 class TestSimulatePath:
     def test_fixed_seed_reproduces_path(self, params_small):

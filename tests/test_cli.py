@@ -513,29 +513,36 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and "--truncation" in err
 
-    @staticmethod
-    def exact_child(tmp_path, n, lam, mu):
+    # Runs the CLI, then prints the process's own peak resident set in KiB.
+    # VmHWM starts again at exec; the ru_maxrss that wait4 reports does not,
+    # and on Linux keeps the resident set of the forking parent.
+    PEAK_RSS_CHILD = (
+        "import re, sys\n"
+        "from midnightq.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(re.search(r'^VmHWM:\\s*(\\d+) kB', status.read(), re.M)[1])\n"
+        "sys.exit(code)\n"
+    )
+
+    @classmethod
+    def exact_child(cls, tmp_path, n, lam, mu):
         """Run ``exact`` at (n, lam, mu) in a child process; check its exit,
         residual and flow balance, and return (states, peak RSS in KiB)."""
         out = tmp_path / "exact.json"
-        argv = [sys.executable, "-m", "midnightq.cli", "exact", "--n", str(n),
+        argv = [sys.executable, "-c", cls.PEAK_RSS_CHILD, "exact", "--n", str(n),
                 "--lambda", repr(lam), "--mu", repr(mu), "--format", "json",
                 "--out", str(out)]
         env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        with subprocess.Popen(argv, env=env, stderr=subprocess.PIPE) as proc:
-            err = proc.stderr.read()
-            # The child's own resource usage, as RUSAGE_CHILDREN reports it
-            # when it is the only child waited for.
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, err
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         result = json.loads(out.read_text())
         states = np.asarray(result["states"])
         pi = np.asarray(result["probabilities"])
         assert np.array_equal(states, np.arange(pi.size))
         assert result["residual"] <= 1e-12
         assert abs(lam - mu * float(np.minimum(states, n) @ pi)) <= 1e-8
-        return states, usage.ru_maxrss
+        return states, int(proc.stdout)
 
     def test_exact_near_critical_large_pool(self, tmp_path):
         # N = 20,000 at load 0.99: the window [18,578, 23,764] solves in
