@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, svdvals
+from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
+from scipy.linalg.lapack import dpotrs, dpstrf
 from scipy.special import ndtr
 
 from .model import DiffusionParams, SolverError
@@ -223,11 +224,6 @@ def _pf_band(basis: FemBasis, means: np.ndarray, sd: float):
     return _pf_windows(basis.nodes, h, means, sd, first.astype(np.intp), width)
 
 
-def lf_hat_matrix(basis: FemBasis, kernel: TransitionKernel, x) -> np.ndarray:
-    """L applied to every hat (P f - f) at the points ``x``, P f from ``_pf_band``."""
-    return _lf(basis, kernel, np.atleast_1d(np.asarray(x, dtype=float)), 0)
-
-
 def _lf(basis: FemBasis, kernel: TransitionKernel, x: np.ndarray, order: int) -> np.ndarray:
     """L applied to every hat at the points ``x``, whose first m ``order`` are
     ``order`` nodes in each element in turn, as the Gram's (``_panels``).
@@ -350,6 +346,8 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         panel = bad // _ORDER
         where = f"element {panel}" if panel < m else f"tail panel {panel - m}"
         raise SolverError(f"non-finite reference weight in {where} (x={quad_x[bad]!r})")
+    if not quad_w.any():
+        raise ValueError("the reference density is 0 at every quadrature node; set more --elements")
 
     # One copy of L f, kept by the system: the rhs reads it, then dsyrk reads
     # it weighted by sqrt(w) in place and fills its upper triangle.  The
@@ -382,43 +380,43 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     )
 
 
-def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
-    """Cholesky solve of the assembled system, with a tiny diagonal shift.
+def _jacobi_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S a S, s), S = diag(s), s_i = 1 / sqrt(a_ii) where a_ii > 0, else 0: a
+    copy in ``a``'s memory order, unit diagonal but for the zero rows."""
+    diagonal = np.diagonal(a)
+    scale = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, np.inf))
+    scaled = a * scale[:, None]
+    scaled *= scale
+    return scaled, scale
 
-    The shift alone leaves a residual of about shift * |alpha|, so two steps
-    of iterative refinement against the unshifted matrix reuse the shifted
-    factor to remove it.  The acceptance test is on the residual: any
-    coefficient vector reproducing the right-hand side is as good as any
-    other, because the projection itself is unique.  Returns (alpha,
-    residual).  Raises SolverError if the factorization fails or the residual
-    exceeds the tolerance.
+
+def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
+    """One pivoted Cholesky (``dpstrf``) solve of the Jacobi-scaled system:
+    the hats past its rank, at LAPACK's default tolerance, get coefficient 0.
+    Any vector reproducing the right-hand side is as good as any other, as
+    the projection itself is unique, so the test is on the residual.
+    Returns (alpha, residual); raises SolverError above the tolerance.
     """
-    a = system.matrix
-    b = system.rhs
-    m = b.size
-    shift = 1e-12 * np.trace(a) / m
+    a, b = system.matrix, system.rhs
     # The rhs entries carry roundoff of order eps times their absolute-value
     # quadrature sums; no solver can push the residual below that noise.
-    tol = max(
-        _REL_TOL * float(np.linalg.norm(b)), 100.0 * np.finfo(float).eps * system.rhs_scale
-    )
-    # One shifted copy, in the matrix's own memory order, factored in place.
-    shifted = a.copy(order="K")
-    shifted[np.diag_indices(m)] += shift
-    try:
-        factor = cho_factor(shifted, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"Gram factorization failed: {err}; check basis and quadrature")
-    alpha = cho_solve(factor, b)
-    for _ in range(2):
-        alpha += cho_solve(factor, b - dsymv(1.0, a, alpha))
+    tol = max(_REL_TOL * float(np.linalg.norm(b)),
+              100.0 * np.finfo(float).eps * system.rhs_scale)
+    # The scaled copy is in dsyrk's Fortran order, so dpstrf factors it in place.
+    scaled, scale = _jacobi_scaled(a)
+    factor, piv, rank, _ = dpstrf(scaled, lower=1, overwrite_a=1)
+    # Rows past the rank become the identity's, so dpotrs solves the first rank alone.
+    factor[rank:] = 0.0
+    np.fill_diagonal(factor[rank:, rank:], 1.0)
+    pivots = piv - 1
+    coeffs = scale[pivots] * b[pivots]
+    coeffs[rank:] = 0.0
+    alpha = np.empty(b.size)
+    alpha[pivots] = scale[pivots] * dpotrs(factor, coeffs, lower=1)[0]
     res = float(np.linalg.norm(dsymv(1.0, a, alpha) - b))
     if not res <= tol:
-        raise SolverError(
-            f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
-            "check basis and quadrature",
-            residual=res,
-        )
+        raise SolverError(f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
+                          "check basis and quadrature", residual=res)
     return alpha, res
 
 
@@ -524,14 +522,16 @@ class RatioReconstruction:
         """Clipped, domain-renormalized samples plus diagnostics.
 
         Returns (density on ``grid``, diagnostics dict).  Diagnostics report
-        the remainder norm, the Gram solve's residual and 2-norm condition
-        number, and the clipped-away mass.  Each keeps only the digits it
-        has: the condition number moves by about 1e-8 relative when the
-        Gram entries move by roundoff, so it keeps 6 significant digits,
-        and the residual is roundoff itself, so it keeps 1.
+        the remainder norm, the Gram solve's residual, the 2-norm condition
+        number of the matrix it factors (``_jacobi_scaled``, hats of zero
+        diagonal left out) and the clipped-away mass.  Each keeps only the
+        digits it has: the condition number moves by about 1e-8 relative
+        when the Gram entries move by roundoff, so it keeps 6 significant
+        digits, and the residual is roundoff itself, so it keeps 1.
         """
         raw_mass, clipped_mass = self.domain_mass()
-        singular = svdvals(self._system.matrix)
+        scaled, scale = _jacobi_scaled(self._system.matrix)
+        singular = svdvals(scaled[np.ix_(scale > 0.0, scale > 0.0)])
         diagnostics = {
             "norm_sq": self.norm_sq,
             "residual": float(f"{self.residual:.1g}"),

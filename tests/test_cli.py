@@ -393,15 +393,11 @@ class TestCommands:
                 ("compare", lambda cfg: compare_methods(cfg.model_params())),
             ]
         ] + [
-            # The Gram matrix of a nearly empty system is not positive definite.
-            (["projection", "--n", "100", "--lambda", "1e-6", "--mu", "0.5"],
-             lambda cfg: projection.project_stationary_density(
-                 derive_diffusion_params(cfg.model_params()), cfg.mu)),
             (["exact", *SMALL_ARGS, "--tol", "1e-17"],
              lambda cfg: chain.stationary_pmf(chain.stationary_kernel(cfg.model_params()),
                                               tol=cfg.tol)),
         ],
-        ids=["exact-load", "formula-load", "projection-load", "compare-load", "gram", "tol"],
+        ids=["exact-load", "formula-load", "projection-load", "compare-load", "tol"],
     )
     def test_every_solver_failure_exits_3(self, argv, solve, capsys):
         assert main(argv) == 3
@@ -412,6 +408,20 @@ class TestCommands:
             solve(cfg)
         if "--tol" in argv:
             assert isinstance(err.value.residual, float) and err.value.residual > cfg.tol
+
+    @pytest.mark.parametrize("command", ["projection", "compare"])
+    def test_reference_no_node_sees_exit_2(self, command, capsys):
+        # At load 2e-8 the reference's sd is 1.4e-3 and the elements are 0.63
+        # wide: its weight underflows to 0 at every quadrature node.
+        assert main([command, "--n", "100", "--lambda", "1e-6", "--mu", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "invalid configuration: the reference density is 0 at every quadrature node")
+        advised = set(re.findall(r"--[a-z-]+", captured.err))
+        reads = {"--" + key.replace("_", "-") for key, (*_, commands) in _OPTIONS.items()
+                 if command in commands}
+        assert advised and advised <= reads
 
     @pytest.mark.parametrize("command", ["exact", "compare"])
     def test_nan_tol_exit_2(self, command, capsys):
