@@ -476,6 +476,16 @@ def _saturated_rise(p: ModelParams, days: int, level: float) -> int:
     return math.ceil(rise)
 
 
+def _busy_rates(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(busy, rates)``: up to 64 busy levels k spaced geometrically over (lam / mu,
+    N], N included, each with the largest t of ``_saturated_cgf``'s grid where c(t) <= 0
+    (0 where none is)."""
+    offered = p.daily_arrival_rate / p.daily_service_prob
+    busy = np.unique(np.ceil(np.geomspace(p.n_servers, offered, 64, endpoint=False)))
+    t, cgf = _saturated_cgf(p, busy)
+    return busy, np.where(cgf <= 0.0, t, 0.0).max(axis=1)
+
+
 def stationary_window(p: ModelParams) -> tuple[int, int]:
     """States [L, K] that the stationary count leaves, below or above, with
     probability at most ``_TAIL``: ``_transient_window``'s couplings as the
@@ -485,39 +495,43 @@ def stationary_window(p: ModelParams) -> tuple[int, int]:
     below k only lowers the next count, so X - k is at most the supremum of
     the sums of steps Poisson(lam) - Binomial(k, mu).  Where their cgf c(t)
     <= 0 (``_saturated_cgf``), exp(t S) is a supermartingale, so P(X - k >=
-    j) <= exp(-t j) (Kingman, 1970).  K is the least k + ceil(60 ln 2 / t),
-    t the largest such t of the grid, over up to 64 levels spaced
-    geometrically over (lam / mu, N], N included: at low load K can be
-    below N.  Refuses load >= 1 (SolverError) and a load so near 1
-    that no t qualifies at k = N (ValueError; K would pass N + 4.1e7).
+    j) <= exp(-t j) (Kingman, 1970).  K is the least k + ceil(60 ln 2 / t)
+    over ``_busy_rates``: at low load K can be below N.  Refuses load >= 1
+    (SolverError) and a load so near 1 that no t qualifies at k = N
+    (ValueError; K would pass N + 4.1e7).
     """
     if p.load >= 1.0:
         raise SolverError(f"no stationary law at load {p.load:.6g} >= 1")
-    n, offered = p.n_servers, p.daily_arrival_rate / p.daily_service_prob
-    busy = np.unique(np.ceil(np.geomspace(n, offered, 64, endpoint=False)))
-    t, cgf = _saturated_cgf(p, busy)
-    rates = np.where(cgf <= 0.0, t, 0.0).max(axis=1)  # 0 where no t qualifies
+    busy, rates = _busy_rates(p)
     if not rates[-1] > 0.0:
         raise ValueError(f"load {p.load!r} is too close to 1 to bound the stationary tail")
     qualified = rates > 0.0
     tops = busy[qualified] + np.ceil(-math.log(_TAIL) / rates[qualified])
-    return _floor_of(_arrival_window(offered)), int(tops.min())
+    return _floor_of(_arrival_window(p.daily_arrival_rate / p.daily_service_prob)), int(tops.min())
+
+
+# Largest Kingman bound on P(X > K) that a --truncation K below the default top
+# may leave: criterion 9's --truncation 200 at N = 18 has bound 2.0e-10 (true
+# tail 6.0e-11), and 1e-9 is the first decade above it.
+_CUT = 1e-9
 
 
 def stationary_kernel(p: ModelParams, truncation: int | None = None) -> ChainKernel:
     """``build_kernel`` on ``stationary_window``, K set by ``truncation`` if given.
 
-    Refuses a ``truncation`` below min(N, K): at low load the default K is
-    below N, and any K above it also bounds the stationary count.  Only
-    a ``truncation`` above K is advised lower: below K it cuts the law.
+    Refuses a ``truncation`` K below the default top whose Kingman bound on
+    P(X > K), the least exp(-t (K + 1 - k)) over ``_busy_rates``, exceeds
+    ``_CUT``.  Only a ``truncation`` above the default top is advised lower.
     """
     lower, top = stationary_window(p)
     if truncation is None:
         truncation = top
-    elif truncation < min(p.n_servers, top):
-        floor = (f"the server count {p.n_servers}" if p.n_servers <= top
-                 else f"the default top {top}")
-        raise ValueError(f"--truncation {truncation} is below {floor}")
+    elif truncation < top:
+        busy, rates = _busy_rates(p)
+        cut = float(np.exp(-rates * np.clip(truncation + 1 - busy, 0, None)).min())
+        if cut > _CUT:
+            raise ValueError(f"--truncation {truncation} may cut up to {cut:.2g} of the law "
+                             f"above it (Kingman's bound); the default top is {top}")
     advice = ("set a lower --truncation" if truncation > top
               else "lower the load or the system size (--n, --lambda)")
     return build_kernel(p, truncation, lower, advice)

@@ -284,35 +284,19 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def _simulate_limit_recursion(
-    mu: float,
-    drift: float,
-    variance: float,
-    horizon: int,
-    n_paths: int,
-    seed,
-) -> np.ndarray:
-    rng = chain_mod._path_rng(seed)
-    sd = math.sqrt(variance)
-    x = np.zeros(n_paths)
-    keep = 1.0 - mu
-    for _ in range(horizon):
-        g = rng.normal(drift, sd, n_paths)
-        x = np.where(x >= 0.0, x, keep * x) + g
-    return x
-
-
 def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     """Compare the scaled pre-limit queue with the Gaussian limit recursion.
 
     For each system size the queue starts full, runs ``horizon`` days, and
     the final count is centered and scaled by sqrt(N).  The limit side runs
     the same recursion driven by Gaussian increments with mean
-    -mu*beta_star and variance mu + mu(1-mu).  The report carries
-    one KS distance per system size.  Refuses with ValueError, before
-    simulating, R replications whose 15 R float64 values held at once (the
-    finals, scaled, the limit paths, and ``ks_distance``'s sorted copies and
-    five arrays over its 2R grid) would take over ``chain._memory_budget``.
+    -mu*beta_star and variance mu + mu(1-mu), whose law is the same for
+    every N: one sample of it, drawn first, serves every size, so the KS
+    distances differ only by their pre-limit noise.  Refuses with
+    ValueError, before simulating, R replications whose 15 R float64 values
+    held at once (the limit sample, the finals, scaled, and ``ks_distance``'s
+    sorted copies and five arrays over its 2R grid) would take over
+    ``chain._memory_budget``.
     """
     chain_mod._check_budget(120 * cfg.replications, f"{cfg.replications} replications need",
                             "lower --replications")
@@ -322,19 +306,18 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
         warnings.append(
             f"replications={cfg.replications} < 1000: KS noise dominates the comparison"
         )
-    limit_drift = -mu * cfg.beta_star
-    limit_variance = mu + mu * (1.0 - mu)
+    lim_seed, *pre_seeds = np.random.SeedSequence(cfg.seed).spawn(1 + len(cfg.system_sizes))
+    rng = chain_mod._path_rng(lim_seed)
+    sd = math.sqrt(mu + mu * (1.0 - mu))
+    limit = np.zeros(cfg.replications)
+    for _ in range(cfg.horizon):
+        g = rng.normal(-mu * cfg.beta_star, sd, cfg.replications)
+        limit = np.where(limit >= 0.0, limit, (1.0 - mu) * limit) + g
 
-    root = np.random.SeedSequence(cfg.seed)
     entries = []
-    for n, child in zip(cfg.system_sizes, root.spawn(len(cfg.system_sizes))):
-        pre_seed, lim_seed = child.spawn(2)
+    for n, pre_seed in zip(cfg.system_sizes, pre_seeds):
         params = ModelParams(n, cfg.arrival_rate(n), mu)
         finals = chain_mod.simulate_replications(params, cfg.horizon, cfg.replications, pre_seed)
-        scaled = (finals - n) / math.sqrt(n)
-        limit = _simulate_limit_recursion(
-            mu, limit_drift, limit_variance, cfg.horizon, cfg.replications, lim_seed
-        )
-        distance = ks_distance(scaled, limit)
+        distance = ks_distance((finals - n) / math.sqrt(n), limit)
         entries.append(LimitEntry(n, distance, cfg.replications, cfg.horizon))
     return LimitReport(entries=tuple(entries), warnings=tuple(warnings))

@@ -319,7 +319,7 @@ class GramSystem:
     basis, ``rhs`` their inner products with the constant function.  The
     quadrature nodes and weights (r included) are kept so the
     reconstruction reuses exactly the same discrete inner product, and
-    ``weighted_lf``, sqrt(w) L f there (None in a system built by hand).
+    ``weighted_lf``, sqrt(w) L f there.
     """
 
     matrix: np.ndarray
@@ -329,8 +329,8 @@ class GramSystem:
     basis: FemBasis
     quad_x: np.ndarray
     quad_w: np.ndarray
-    rhs_scale: float = 1.0
-    weighted_lf: np.ndarray | None = None
+    rhs_scale: float
+    weighted_lf: np.ndarray
 
 
 def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:

@@ -20,9 +20,13 @@ from midnightq import (
 )
 from midnightq.chain import (
     _CELLS,
+    _CUT,
+    _TAIL,
     _arrival_window,
     _binomial_window,
+    _busy_rates,
     _cell_table,
+    _floor_of,
     _saturated_steps,
     _step_cuts,
     _step_law,
@@ -108,8 +112,29 @@ class TestBuildKernel:
         assert np.array_equal(kernel.band[0], expected)
 
     def test_truncation_below_server_count_rejected(self):
-        with pytest.raises(ValueError, match="--truncation 9 is below the server count 10"):
+        with pytest.raises(ValueError, match=r"^--truncation 9 may cut up to 0\.004 of the law "
+                           r"above it \(Kingman's bound\); the default top is 33$"):
             stationary_kernel(ModelParams(10, 1.0, 0.5), truncation=9)
+
+    @pytest.mark.parametrize("n, lam", [(18, 3.03), (66, 11.37), (500, 90.95), (500, 93.4)])
+    def test_truncation_bound_covers_the_cut_tail(self, n, lam):
+        # Kingman's bound on P(X > K), the least exp(-t (K + 1 - k)) over the
+        # busy levels, is at least the windowed law's mass above K for every
+        # K from N to the default top, and stationary_kernel refuses a K
+        # exactly where it passes _CUT, quoting it.
+        p = ModelParams.from_mean_los(n, lam, 5.3)
+        pi = stationary_pmf(stationary_kernel(p))
+        busy, rates = _busy_rates(p)
+        cuts = np.arange(n, pi.support[-1])
+        bounds = np.exp(-rates[:, None] * np.clip(cuts + 1 - busy[:, None], 0, None)).min(axis=0)
+        above = np.cumsum(pi.mass[::-1])[::-1][cuts - pi.support[0] + 1]
+        assert np.all(above <= bounds)
+        for k_max, bound in zip(cuts[::25], bounds[::25]):
+            if bound <= _CUT:
+                assert stationary_kernel(p, int(k_max)).truncation_level == k_max
+            else:
+                with pytest.raises(ValueError, match=f"up to {bound:.2g} of the law"):
+                    stationary_kernel(p, int(k_max))
 
     def test_default_truncation_clears_server_count(self, params_large):
         # build_kernel's default truncation is the K of stationary_window.
@@ -268,10 +293,11 @@ class TestBuildKernel:
         with pytest.raises(ValueError, match="lower cut"):
             build_kernel(params_small, truncation=100, lower=101)
 
-    @pytest.mark.parametrize("k_max", [18, 30, 40])
+    @pytest.mark.parametrize("k_max", [18, 20, 30, 40])
     def test_lattice_narrower_than_band_steps_and_solves(self, params_small, k_max):
         # At N = 18 a row keeps the steps -18..+28, so these lattices hold
-        # fewer states than the band is wide.
+        # fewer states than the band is wide.  stationary_kernel refuses
+        # them, since they cut the law; build_kernel takes any K.
         kernel = build_kernel(params_small, truncation=k_max)
         assert kernel.band.shape[0] < kernel.band.shape[1]
         rows = dense_rows(kernel)
@@ -700,6 +726,21 @@ class TestTransientPMF:
     def test_refuses_negative_horizon(self, params_small):
         with pytest.raises(ValueError, match="horizon"):
             transient_pmf(params_small, -1)
+
+    def test_window_floor_once_no_server_survives(self):
+        # At N = 400, mu = 0.5 and load 1 - 1/sqrt(N), N (1 - mu)^s drops
+        # below 2^-60 on day 69: from there the window takes the floor of the
+        # Poisson law alone, for every later day.  Its L is still the least
+        # of the floors of every day's full Binomial + Poisson law.
+        n, mu, horizon = 400, 0.5, 100
+        p = ModelParams(n, n * mu * (1.0 - 1.0 / math.sqrt(n)), mu)
+        assert n * (1 - mu) ** 69 < _TAIL <= n * (1 - mu) ** 68
+        floors = []
+        for s in range(1, horizon + 1):
+            survive = (1 - mu) ** s
+            arrived = _arrival_window(p.daily_arrival_rate * (1 - survive) / mu)
+            floors.append(_floor_of(_binomial_window(n, survive), arrived))
+        assert _transient_window(p, horizon)[0] == min(floors) == 222
 
 
 class TestSerialization:

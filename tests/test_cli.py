@@ -220,13 +220,13 @@ class TestCommands:
     def test_exact_writes_deterministic_csv(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        args = ["exact", *SMALL_ARGS, "--truncation", "150"]
+        args = ["exact", *SMALL_ARGS, "--truncation", "250"]
         assert main([*args, "--out", str(out1)]) == 0
         assert main([*args, "--out", str(out2)]) == 0
         data = out1.read_bytes()
         assert data == out2.read_bytes()
         assert data.startswith(b"state,probability\n")
-        assert len(data.splitlines()) == 152
+        assert len(data.splitlines()) == 252
 
     def test_missing_params_exit_2(self, capsys):
         assert main(["exact", "--n", "18"]) == 2
@@ -357,12 +357,13 @@ class TestCommands:
             # At load 0.5 the default top, 2,524, is below N: a lower
             # --truncation is refused.
             (["exact", "--n", "4000", "--lambda", "1000", "--mu", "0.5"], {"--n", "--lambda"}),
-            # At load 0.9996 the default top is 104,397; a lower --truncation,
-            # given or not, cuts the law.
+            # At load 0.9996 the default top is 104,397; a lower --truncation
+            # that Kingman's bound lets through (at 60,000 it is 4.2e-11) is
+            # still too large for the banded LU.
             (["exact", "--n", "18", "--lambda", "3.395", "--mean-los", "5.3"],
              {"--n", "--lambda"}),
             (["exact", "--n", "18", "--lambda", "3.395", "--mean-los", "5.3", "--truncation",
-              "50000"], {"--n", "--lambda"}),
+              "60000"], {"--n", "--lambda"}),
             # Above the default top, 359, a lower --truncation is the remedy.
             (["compare", *SMALL_ARGS, "--truncation", "100000"], {"--truncation"}),
         ],
@@ -466,25 +467,41 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["exact", "compare"])
     def test_truncation_below_server_count_exit_2(self, command, capsys):
         # At N = 66 the window starts at L = 7, so --truncation 10 would
-        # leave a 4-state lattice; it is refused as below the server count.
+        # leave a 4-state lattice; it would cut nearly all of the law.
         args = [command, "--n", "66", "--lambda", "11.37", "--mean-los", "5.3"]
         assert main([*args, "--truncation", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "invalid configuration: --truncation 10 is below the server count 66\n"
+            "invalid configuration: --truncation 10 may cut up to 1 of the law above it "
+            "(Kingman's bound); the default top is 496\n"
         )
 
-    @pytest.mark.parametrize("truncation, status", [("1000", 0), ("379", 2)])
+    @pytest.mark.parametrize("command", ["exact", "compare"])
+    def test_truncation_that_cuts_the_law_exit_2(self, command, capsys):
+        # At N = 500, load 0.99 the law above K = 520 holds 0.595 (bound
+        # 0.8): the solve folded it onto K and printed mean 494.3, not 562.6.
+        args = [command, "--n", "500", "--lambda", "93.4", "--mean-los", "5.3"]
+        assert main([*args, "--truncation", "520"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid configuration: --truncation 520 may cut up to 0.8 of the law above it "
+            "(Kingman's bound); the default top is 4389\n"
+        )
+
+    @pytest.mark.parametrize("truncation, status", [("1000", 0), ("300", 2)])
     def test_truncation_at_low_load_may_be_below_n(self, truncation, status, capsys):
         # At N = 10^5, lambda = 100, mu = 0.5 the default window is [89, 380]:
-        # any K from 380 up bounds the count too, though it is below N.
+        # K = 1,000 bounds the count too, though it is below N, and so does
+        # K = 379 (bound 6.9e-19); K = 300 may cut 4.6e-7.
         args = ["exact", "--n", "100000", "--lambda", "100", "--mu", "0.5", "--format", "json"]
         assert main([*args, "--truncation", truncation]) == status
         captured = capsys.readouterr()
         if status == 2:
             assert captured.err == (
-                "invalid configuration: --truncation 379 is below the default top 380\n"
+                "invalid configuration: --truncation 300 may cut up to 4.6e-07 of the law "
+                "above it (Kingman's bound); the default top is 380\n"
             )
         else:
             result = json.loads(captured.out)
@@ -571,14 +588,6 @@ class TestCommands:
         states, rss = self.exact_child(tmp_path, n, lam, mu)
         assert states[-1] == top
         assert rss < 300 * 2**10  # KiB: 300 MiB
-
-    @pytest.mark.parametrize(
-        "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]
-    )
-    def test_lattice_narrower_than_band_exits_0(self, command, truncation, capsys):
-        # At N = 18 a kernel row spans 47 states, more than these lattices hold.
-        assert main([command, *SMALL_ARGS, "--truncation", truncation]) == 0
-        capsys.readouterr()
 
     def test_simulate_mean_se_matches_seed_spread(self, capsys):
         means, ses = [], []

@@ -21,6 +21,7 @@ from midnightq import (
     simulate_replications,
     transition_density,
 )
+from midnightq import chain
 from midnightq.cli import csv_table as density_csv
 from midnightq.diffusion import ks_distance
 
@@ -266,6 +267,29 @@ class TestLimitHarness:
     def test_reproducible_for_fixed_seed(self):
         cfg = LimitHarnessConfig((25, 64), 4, 3000, 1 / 5.3, seed=6)
         assert run_limit_harness(cfg).ks_distances() == run_limit_harness(cfg).ks_distances()
+
+    def test_one_limit_sample_serves_every_size(self, monkeypatch):
+        # The limit law does not depend on N: the harness draws its R paths
+        # once, one Generator.normal call a day, not once per system size.
+        calls = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, *args):
+                calls.append(args)
+                return self.rng.normal(*args)
+
+            def random(self, *args):
+                return self.rng.random(*args)
+
+        cfg = LimitHarnessConfig((25, 100, 400), 4, 500, 1 / 5.3, seed=3)
+        expected = run_limit_harness(cfg).ks_distances()
+        path_rng = chain._path_rng
+        monkeypatch.setattr(chain, "_path_rng", lambda seed: CountingRng(path_rng(seed)))
+        assert run_limit_harness(cfg).ks_distances() == expected
+        assert len(calls) == cfg.horizon
 
 
 class TestDensityTable:

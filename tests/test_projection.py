@@ -568,6 +568,7 @@ def synthetic_system(matrix, rhs, rhs_scale=1.0):
         quad_x=np.zeros(0),
         quad_w=np.zeros(0),
         rhs_scale=rhs_scale,
+        weighted_lf=np.zeros((len(rhs), 0)),
     )
 
 
@@ -613,9 +614,10 @@ class TestSolveGram:
         "n, lam, mean_los, elements",
         [(1808, 391.05, 4.193, 90), (1423, 32.58, 40.15, 319)],
     )
-    def test_refinement_clears_shift_residual(self, n, lam, mean_los, elements):
-        # Stable systems whose shifted Cholesky residual, about shift * |alpha|,
-        # sat just above the tolerance before refinement.
+    def test_sweep_systems_meet_the_residual_floor(self, n, lam, mean_los, elements):
+        # Stable systems for which a random sweep once found the residual just
+        # above the tolerance floor; the one pivoted Cholesky of the scaled
+        # Gram must stay within it.
         params = ModelParams.from_mean_los(n, lam, mean_los)
         *_, system = small_setup(params, m=elements)
         alpha, _ = solve_gram(system)
