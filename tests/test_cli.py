@@ -589,6 +589,19 @@ class TestCommands:
         assert states[-1] == top
         assert rss < 300 * 2**10  # KiB: 300 MiB
 
+    @pytest.mark.parametrize(
+        "command, truncation", [("exact", "18"), ("exact", "40"), ("compare", "20")]
+    )
+    def test_lattice_narrower_than_band_exits_0(self, command, truncation, capsys):
+        # At N = 30, lambda = 1, mean LOS 1.5 the default window is [0, 28]
+        # and Kingman's bound lets K = 18 through; a kernel row on these
+        # lattices spans 38 to 50 states, more than the lattice holds.
+        args = ["--n", "30", "--lambda", "1", "--mean-los", "1.5", "--format", "json"]
+        assert main([command, *args, "--truncation", truncation]) == 0
+        result = json.loads(capsys.readouterr().out)
+        if command == "exact":
+            assert result["states"][-1] == int(truncation) and result["residual"] <= 1e-12
+
     def test_simulate_mean_se_matches_seed_spread(self, capsys):
         means, ses = [], []
         for seed in range(8):
