@@ -394,11 +394,13 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
     A - D, A ~ Poisson(lam) and D ~ Binomial(min(x, N), mu).  From x >= N
     the step does not depend on x, so a block's saturated steps are all
     looked up at once in a cell table; below N the step table of a busy
-    count is built when the path first visits it.  The two N-entry lists
-    of those tables are refused first (ValueError) over ``_memory_budget``.
+    count is built when the path first visits it.  The path, then the two
+    N-entry lists of those tables, are refused first (ValueError) over
+    ``_memory_budget``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
+    _check_budget(8 * (horizon + 1), f"a path of {horizon} days needs", "lower --steps")
     n = p.n_servers
     _check_budget(16 * n, f"step tables of {n} busy counts need", "lower --n")
     mu = p.daily_service_prob

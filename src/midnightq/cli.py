@@ -16,11 +16,10 @@ configuration, 3 for solver failures (diagnostics go to standard error).
 
 from __future__ import annotations
 
-import argparse
+from argparse import ArgumentParser, Namespace
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,49 +30,24 @@ from . import diffusion as diff_mod
 from . import projection as proj_mod
 
 
-@dataclass
-class RunConfig:
-    """Validated settings for one CLI invocation."""
+def _service_prob(cfg: Namespace) -> float:
+    """The daily service probability every command reads, from --mu or
+    --mean-los; a --mu outside (0, 1), or nan, is refused by its flag."""
+    if cfg.mu is not None:
+        if not 0.0 < cfg.mu < 1.0:
+            raise ValueError(f"--mu must lie in (0, 1), got {cfg.mu!r}")
+        return cfg.mu
+    if cfg.mean_los is not None:
+        return service_prob_of(cfg.mean_los)
+    raise ValueError("one of --mu or --mean-los is required")
 
-    command: str
-    sizes: tuple[int, ...] | None = None
-    lam: float | None = None
-    mu: float | None = None
-    mean_los: float | None = None
-    truncation: int | None = None
-    grid_lo: float | None = None
-    grid_hi: float | None = None
-    elements: int = 160
-    tol: float = 1e-12
-    steps: int = 1_000_000
-    replications: int = 100_000
-    seed: int = 0
-    beta_star: float = 1.0
-    out: str | None = None
-    fmt: str = "csv"
 
-    @property
-    def n(self) -> int | None:
-        """The server count of a command that takes one."""
-        if self.sizes is not None and len(self.sizes) != 1:
-            raise ValueError(f"--n takes one server count for {self.command}")
-        return None if self.sizes is None else self.sizes[0]
-
-    def model_params(self) -> ModelParams:
-        if self.sizes is None or self.lam is None:
-            raise ValueError("--n and --lambda are required for this command")
-        return ModelParams(self.n, self.lam, self.service_prob())
-
-    def service_prob(self) -> float:
-        """The daily service probability every command reads, from --mu or
-        --mean-los; a --mu outside (0, 1), or nan, is refused by its flag."""
-        if self.mu is not None:
-            if not 0.0 < self.mu < 1.0:
-                raise ValueError(f"--mu must lie in (0, 1), got {self.mu!r}")
-            return self.mu
-        if self.mean_los is not None:
-            return service_prob_of(self.mean_los)
-        raise ValueError("one of --mu or --mean-los is required")
+def _model_params(cfg: Namespace) -> ModelParams:
+    if cfg.sizes is None or cfg.lam is None:
+        raise ValueError("--n and --lambda are required for this command")
+    if len(cfg.sizes) != 1:
+        raise ValueError(f"--n takes one server count for {cfg.command}")
+    return ModelParams(cfg.sizes[0], cfg.lam, _service_prob(cfg))
 
 
 def csv_table(points: np.ndarray, values: np.ndarray) -> str:
@@ -90,7 +64,7 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(cfg: RunConfig, table: tuple[np.ndarray, np.ndarray] | None, fields: dict) -> None:
+def _write(cfg: Namespace, table: tuple[np.ndarray, np.ndarray] | None, fields: dict) -> None:
     """Emit a command's result to ``cfg.out`` or stdout.
 
     ``table`` is the law as ``(points, values)``, or None for a JSON-only
@@ -121,22 +95,22 @@ def _write(cfg: RunConfig, table: tuple[np.ndarray, np.ndarray] | None, fields: 
 _Result = tuple[tuple[np.ndarray, np.ndarray] | None, dict]
 
 
-def _cmd_exact(cfg: RunConfig) -> _Result:
-    p = cfg.model_params()
+def _cmd_exact(cfg: Namespace) -> _Result:
+    p = _model_params(cfg)
     pmf = chain_mod.stationary_pmf(chain_mod.stationary_kernel(p, cfg.truncation), tol=cfg.tol)
     mean, sd = chain_mod.lattice_moments(pmf.support, pmf.mass)
     return (pmf.support, pmf.mass), {"residual": pmf.residual, "mean": mean, "sd": sd}
 
 
-def _formula_grid(cfg: RunConfig, d) -> np.ndarray:
+def _formula_grid(cfg: Namespace, d) -> np.ndarray:
     chain_mod._check_budget(chain_mod._ROW_BYTES * (2 * cfg.elements + 1),
                             f"a {2 * cfg.elements + 1}-point grid needs", "set fewer --elements")
     lo, hi = proj_mod.working_domain(d, cfg.grid_lo, cfg.grid_hi)
     return np.linspace(lo, hi, 2 * cfg.elements + 1)
 
 
-def _cmd_formula(cfg: RunConfig) -> _Result:
-    p = cfg.model_params()
+def _cmd_formula(cfg: Namespace) -> _Result:
+    p = _model_params(cfg)
     d = derive_diffusion_params(p)
     proxy = diff_mod.proxy_density(d, p.daily_service_prob)
     grid = _formula_grid(cfg, d)
@@ -148,8 +122,8 @@ def _cmd_formula(cfg: RunConfig) -> _Result:
     return (grid, proxy(grid)), fields
 
 
-def _cmd_projection(cfg: RunConfig) -> _Result:
-    p = cfg.model_params()
+def _cmd_projection(cfg: Namespace) -> _Result:
+    p = _model_params(cfg)
     d = derive_diffusion_params(p)
     _, _, recon = proj_mod.project_stationary_density(
         d, p.daily_service_prob, num_elements=cfg.elements, grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi
@@ -161,12 +135,10 @@ def _cmd_projection(cfg: RunConfig) -> _Result:
     return (grid, density), {"diagnostics": diagnostics}
 
 
-def _cmd_simulate(cfg: RunConfig) -> _Result:
-    p = cfg.model_params()
+def _cmd_simulate(cfg: Namespace) -> _Result:
+    p = _model_params(cfg)
     if cfg.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {cfg.steps}")
-    chain_mod._check_budget(8 * (cfg.steps + 1), f"a path of {cfg.steps} days needs",
-                            "lower --steps")
     if p.load >= 1.0:
         sys.stderr.write(
             f"warning: load {p.load:.6g} >= 1: the chain has no stationary law, "
@@ -187,7 +159,7 @@ def _cmd_simulate(cfg: RunConfig) -> _Result:
     return table, fields
 
 
-def _cmd_limit_check(cfg: RunConfig) -> _Result:
+def _cmd_limit_check(cfg: Namespace) -> _Result:
     if cfg.sizes is None:
         raise ValueError("--n must list the system sizes, e.g. --n 25,100,400")
     if cfg.steps < 0:
@@ -198,7 +170,7 @@ def _cmd_limit_check(cfg: RunConfig) -> _Result:
         system_sizes=cfg.sizes,
         horizon=cfg.steps,
         replications=cfg.replications,
-        service_prob=cfg.service_prob(),
+        service_prob=_service_prob(cfg),
         beta_star=cfg.beta_star,
         seed=cfg.seed,
     )
@@ -208,9 +180,9 @@ def _cmd_limit_check(cfg: RunConfig) -> _Result:
     return None, report.payload()
 
 
-def _cmd_compare(cfg: RunConfig) -> _Result:
+def _cmd_compare(cfg: Namespace) -> _Result:
     report = compare_methods(
-        cfg.model_params(), truncation=cfg.truncation, elements=cfg.elements, tol=cfg.tol,
+        _model_params(cfg), truncation=cfg.truncation, elements=cfg.elements, tol=cfg.tol,
         grid_lo=cfg.grid_lo, grid_hi=cfg.grid_hi,
     )
     return None, report.payload()
@@ -226,7 +198,7 @@ _COMMANDS = {
 }
 
 _JSON_ONLY = {"limit-check", "compare"}
-# limit-check's horizon in days when --steps is not given; RunConfig.steps'
+# limit-check's horizon in days when --steps is not given; the steps option's
 # default is the length of a simulate path.
 _LIMIT_HORIZON = 10
 
@@ -238,49 +210,52 @@ def counts(text: str) -> tuple[int, ...]:
 _ALL = frozenset(_COMMANDS)
 _CHAIN = {"exact", "compare"}
 _GRID = {"formula", "projection", "compare"}
-# Config-file key (flag "--" + key, "-" for "_") -> (field, type, help, commands reading it).
+# Config-file key (flag "--" + key, "-" for "_") -> (field, type, default, help, readers).
 _OPTIONS = {
-    "n": ("sizes", counts, "server count (limit-check: comma-separated sizes)", _ALL),
-    "lambda": ("lam", float, "daily arrival rate", _ALL - {"limit-check"}),
-    "mu": ("mu", float, "daily service probability in (0,1)", _ALL),
-    "mean_los": ("mean_los", float, "mean length of stay in days", _ALL),
-    "truncation": ("truncation", int, "largest retained chain state", _CHAIN),
-    "grid_lo": ("grid_lo", float, "left end of the working domain", _GRID),
-    "grid_hi": ("grid_hi", float, "right end of the working domain", _GRID),
-    "elements": ("elements", int, "finite elements (default 160)", _GRID),
-    "tol": ("tol", float, "stationary-solve residual (default 1e-12)", _CHAIN),
-    "steps": ("steps", int, "simulation days (default 10^6) / limit-check horizon (default 10)",
+    "n": ("sizes", counts, None, "server count (limit-check: comma-separated sizes)", _ALL),
+    "lambda": ("lam", float, None, "daily arrival rate", _ALL - {"limit-check"}),
+    "mu": ("mu", float, None, "daily service probability in (0,1)", _ALL),
+    "mean_los": ("mean_los", float, None, "mean length of stay in days", _ALL),
+    "truncation": ("truncation", int, None, "largest retained chain state", _CHAIN),
+    "grid_lo": ("grid_lo", float, None, "left end of the working domain", _GRID),
+    "grid_hi": ("grid_hi", float, None, "right end of the working domain", _GRID),
+    "elements": ("elements", int, 160, "finite elements (default 160)", _GRID),
+    "tol": ("tol", float, 1e-12, "stationary-solve residual (default 1e-12)", _CHAIN),
+    "steps": ("steps", int, 1_000_000,
+              "simulation days (default 10^6) / limit-check horizon (default 10)",
               {"simulate", "limit-check"}),
-    "replications": ("replications", int, "harness replications", {"limit-check"}),
-    "seed": ("seed", int, "PRNG seed (default 0)", _ALL),
-    "beta_star": ("beta_star", float, "limit-check: sqrt(N)(1 - load) of every size (default 1)",
-                  {"limit-check"}),
-    "out": ("out", str, "output path (default: stdout)", _ALL),
-    "format": ("fmt", str, "output format", _ALL),
+    "replications": ("replications", int, 100_000, "harness replications", {"limit-check"}),
+    "seed": ("seed", int, 0, "PRNG seed (default 0)", _ALL),
+    "beta_star": ("beta_star", float, 1.0,
+                  "limit-check: sqrt(N)(1 - load) of every size (default 1)", {"limit-check"}),
+    "out": ("out", str, None, "output path (default: stdout)", _ALL),
+    "format": ("fmt", str, "csv", "output format", _ALL),
 }
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="midnightq",
         description="Stationary midnight-count distributions by exact chain, "
         "closed-form proxy, and Galerkin projection.",
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON file with defaults; flags win on conflict")
-    for key, (field, kind, text, _) in _OPTIONS.items():
+    for key, (field, kind, _, text, _) in _OPTIONS.items():
         choices = ["csv", "json"] if key == "format" else None
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=field, type=kind, choices=choices, help=text)
     return parser
 
 
-def build_config(argv: list[str]) -> RunConfig:
+def build_config(argv: list[str]) -> Namespace:
     """Merge defaults, the optional JSON config file, and explicit flags.
 
     Each config-file entry is read as its flag, placed before the command
     line's flags, so that those win; a flag the command does not read is refused.
+    The result holds ``command`` and every ``_OPTIONS`` field, an unset one at
+    its default.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -297,25 +272,27 @@ def build_config(argv: list[str]) -> RunConfig:
             raise ValueError(f"config keys without a value: {sorted(nulls)}")
         entries = [f"--{key.replace('_', '-')}={value}" for key, value in file_cfg.items()]
         args = parser.parse_args(entries + argv)
+    del args.config
 
-    given = {field: getattr(args, field) for field, *_ in _OPTIONS.values()}
     unread = [key for key, (field, *_, commands) in _OPTIONS.items()
-              if given[field] is not None and args.command not in commands]
+              if getattr(args, field) is not None and args.command not in commands]
     if unread:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise ValueError(f"{args.command} does not read {flags}")
-    cfg = RunConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     if args.command == "limit-check" and args.steps is None:
-        cfg.steps = _LIMIT_HORIZON
+        args.steps = _LIMIT_HORIZON
     if args.command in _JSON_ONLY:
         if args.fmt not in (None, "json"):
             raise ValueError(f"{args.command} only emits JSON")
-        cfg.fmt = "json"
-    if cfg.mu is not None and cfg.mean_los is not None:
+        args.fmt = "json"
+    for field, _, default, *_ in _OPTIONS.values():
+        if getattr(args, field) is None:
+            setattr(args, field, default)
+    if args.mu is not None and args.mean_los is not None:
         raise ValueError("pass either --mu or --mean-los, not both")
-    if cfg.elements < 4:
-        raise ValueError(f"--elements must be at least 4, got {cfg.elements}")
-    return cfg
+    if args.elements < 4:
+        raise ValueError(f"--elements must be at least 4, got {args.elements}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

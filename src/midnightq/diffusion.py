@@ -187,12 +187,14 @@ def simulate_diffusion(
 
     Gaussian increments are pre-drawn in blocks; the idle-side push is
     applied sequentially since it depends on the running state, and each
-    block's states are stored with one slice assignment.
+    block's states are stored with one slice assignment.  A path over
+    ``chain._memory_budget`` is refused (ValueError) before it is allocated.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
+    chain_mod._check_budget(8 * (steps + 1), f"a path of {steps} steps needs", "lower steps")
     rng = chain_mod._path_rng(seed)
     sd = math.sqrt(d.variance)
     keep = 1.0 - mu
@@ -241,7 +243,7 @@ class LimitHarnessConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications!r}")
         if not 0.0 < self.service_prob < 1.0:
             raise ValueError(f"service_prob must lie in (0, 1), got {self.service_prob!r}")
-        if self.beta_star <= 0.0:
+        if not self.beta_star > 0.0:
             raise ValueError(f"beta_star must be positive, got {self.beta_star!r}")
         bad = [n for n in sizes if self.beta_star >= math.sqrt(n)]
         if bad:

@@ -432,6 +432,8 @@ class RatioReconstruction:
     """
 
     def __init__(self, system: GramSystem):
+        if system.quad_w.size == 0:
+            raise ValueError("the Gram system has no quadrature nodes")
         alpha, self.residual = solve_gram(system)
         self._system = system
         self.alpha = alpha

@@ -111,7 +111,7 @@ class TestBuildKernel:
             expected[:kl] = 0.0
         assert np.array_equal(kernel.band[0], expected)
 
-    def test_truncation_below_server_count_rejected(self):
+    def test_truncation_below_n_past_kingman_bound_rejected(self):
         with pytest.raises(ValueError, match=r"^--truncation 9 may cut up to 0\.004 of the law "
                            r"above it \(Kingman's bound\); the default top is 33$"):
             stationary_kernel(ModelParams(10, 1.0, 0.5), truncation=9)

@@ -59,7 +59,7 @@ class TestConfigParsing:
     def test_flags_populate_config(self):
         cfg = build_config(["exact", *SMALL_ARGS, "--truncation", "120", "--tol", "1e-10"])
         assert cfg.command == "exact"
-        assert cfg.n == 18
+        assert cfg.sizes == (18,)
         assert cfg.truncation == 120
         assert cfg.tol == 1e-10
 
@@ -67,7 +67,7 @@ class TestConfigParsing:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n": 18, "lambda": 3.03, "mean_los": 5.3, "seed": 9}))
         cfg = build_config(["simulate", "--config", str(cfg_file)])
-        assert cfg.n == 18
+        assert cfg.sizes == (18,)
         assert cfg.seed == 9
 
     def test_flags_win_over_config_file(self, tmp_path):
@@ -190,6 +190,18 @@ class TestConfigParsing:
         assert err.value.code == 2
         assert "invalid choice: 'xml'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_unset_options_take_their_table_defaults(self, command):
+        # The table is the one place a default is written: limit-check's
+        # horizon and a JSON-only command's format are the only overrides,
+        # and the config file's path is not kept.
+        expected = {field: default for field, _, default, *_ in _OPTIONS.values()}
+        if command == "limit-check":
+            expected["steps"] = cli._LIMIT_HORIZON
+        if command in cli._JSON_ONLY:
+            expected["fmt"] = "json"
+        assert vars(build_config([command])) == {"command": command, **expected}
+
     def test_one_server_count_outside_limit_check(self, capsys):
         assert main(["exact", "--n", "25,100", "--lambda", "3.03", "--mu", "0.2"]) == 2
         assert "one server count" in capsys.readouterr().err
@@ -287,7 +299,7 @@ class TestCommands:
             (["compare", *SMALL_ARGS, "--elements", "128"], "--elements",
              (projection, "build_basis")),
             (["simulate", *SMALL_ARGS, "--steps", "200000"], "--steps",
-             (chain, "simulate_path")),
+             (chain, "_path_rng")),
             (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--replications", "10000"],
              "--replications", (chain, "simulate_replications")),
             (["formula", *SMALL_ARGS, "--elements", "2000"], "--elements",
@@ -299,7 +311,8 @@ class TestCommands:
         # Under a 1 MiB budget: 2.9 MB of Gram assembly at 128 elements, a
         # 1.6 MB path of 2·10^5 days, 1.2 MB for 10^4 replications, 2 MB for a
         # 4,001-point formula table.  Each is refused before the function
-        # that would allocate it is called.
+        # that would allocate it is called; simulate_path refuses its path
+        # before it seeds its generator.
         monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
 
         def allocating(*args, **kwargs):
@@ -386,16 +399,16 @@ class TestCommands:
             # load 1.5 / (5 * 0.25) = 1.2: no stationary law.
             ([command, "--n", "5", "--lambda", "1.5", "--mu", "0.25"], solve)
             for command, solve in [
-                ("exact", lambda cfg: chain.stationary_kernel(cfg.model_params())),
+                ("exact", lambda cfg: chain.stationary_kernel(cli._model_params(cfg))),
                 ("formula", lambda cfg: diffusion.proxy_density(
-                    derive_diffusion_params(cfg.model_params()), cfg.mu)),
+                    derive_diffusion_params(cli._model_params(cfg)), cfg.mu)),
                 ("projection", lambda cfg: projection.project_stationary_density(
-                    derive_diffusion_params(cfg.model_params()), cfg.mu)),
-                ("compare", lambda cfg: compare_methods(cfg.model_params())),
+                    derive_diffusion_params(cli._model_params(cfg)), cfg.mu)),
+                ("compare", lambda cfg: compare_methods(cli._model_params(cfg))),
             ]
         ] + [
             (["exact", *SMALL_ARGS, "--tol", "1e-17"],
-             lambda cfg: chain.stationary_pmf(chain.stationary_kernel(cfg.model_params()),
+             lambda cfg: chain.stationary_pmf(chain.stationary_kernel(cli._model_params(cfg)),
                                               tol=cfg.tol)),
         ],
         ids=["exact-load", "formula-load", "projection-load", "compare-load", "tol"],
@@ -465,7 +478,7 @@ class TestCommands:
             diffusion.LimitHarnessConfig(**fields)
 
     @pytest.mark.parametrize("command", ["exact", "compare"])
-    def test_truncation_below_server_count_exit_2(self, command, capsys):
+    def test_truncation_below_n_past_kingman_bound_exit_2(self, command, capsys):
         # At N = 66 the window starts at L = 7, so --truncation 10 would
         # leave a 4-state lattice; it would cut nearly all of the law.
         args = [command, "--n", "66", "--lambda", "11.37", "--mean-los", "5.3"]
@@ -518,7 +531,7 @@ class TestCommands:
     @pytest.mark.parametrize("mu", ["2", "nan"])
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_mu_outside_unit_interval_named_by_its_flag(self, command, mu, capsys):
-        # Every command reads --mu through RunConfig.service_prob, so each
+        # Every command reads --mu through cli._service_prob, so each
         # names the flag, not the library field it feeds.
         sizes = ["--n", "25"] if command == "limit-check" else ["--n", "18", "--lambda", "3.03"]
         assert main([command, *sizes, "--mu", mu]) == 2
@@ -716,6 +729,12 @@ class TestCommands:
         args = ["limit-check", "--n", "4,25", "--mean-los", "5.3", "--beta-star", "2.5"]
         assert main(args) == 2
         assert "beta_star" in capsys.readouterr().err
+
+    def test_beta_star_nan_is_named_by_its_field_exit_2(self, capsys):
+        args = ["limit-check", "--n", "25", "--mean-los", "5.3", "--beta-star", "nan"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid configuration: beta_star must be positive, got nan\n"
 
     @pytest.mark.parametrize("command", ["formula", "projection", "compare"])
     @pytest.mark.parametrize("end", ["--grid-lo=-10", "--grid-hi=40"])

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ class TestSimulateDiffusion:
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
             simulate_diffusion(TOY, 0.5, 0, seed=0)
+
+    def test_paths_over_budget_refused_before_drawing(self, params_small, monkeypatch):
+        # 10^13 steps would take 72.8 TiB: each simulator refuses its own
+        # path before it seeds its generator.
+        def drawing(*args):
+            raise AssertionError("seeded the generator past the memory refusal")
+
+        monkeypatch.setattr(chain, "_path_rng", drawing)
+        d = derive_diffusion_params(params_small)
+        mu = params_small.daily_service_prob
+        for simulate in (lambda: chain.simulate_path(params_small, 10**13, 0),
+                         lambda: simulate_diffusion(d, mu, 10**13, 0)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^a path of 10000000000000 (days|steps) needs"):
+                simulate()
+            assert time.perf_counter() - start < 1.0
 
     def test_blocks_leave_the_path_bit_for_bit(self, params_small):
         # 70,000 steps cross the first 65,536-step block.

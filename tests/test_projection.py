@@ -639,6 +639,10 @@ class TestReconstruction:
         gap = np.abs(system.matrix @ alpha - system.rhs).max()
         assert gap <= 1e-8
 
+    def test_system_without_quadrature_nodes_refused(self):
+        with pytest.raises(ValueError, match="no quadrature nodes"):
+            RatioReconstruction(synthetic_system(np.eye(2), np.ones(2)))
+
     def test_small_system_mass_and_positivity(self, params_small):
         d, mu, r, basis, kernel, system = small_setup(params_small, m=160)
         recon = RatioReconstruction(system)

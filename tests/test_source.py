@@ -10,7 +10,7 @@ from midnightq import SolverError
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "midnightq").glob("*.py"))
 # ROADMAP item 9: every addition to src/ is paid for by a deletion.
-SRC_LINE_CEILING = 2159
+SRC_LINE_CEILING = 2142
 
 
 def unread_parameters(source: str) -> list[str]:
