@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
-from scipy.linalg.lapack import dpotrs, dpstrf
+from scipy.linalg.lapack import dpocon, dpotrs, dpstrf
 from scipy.special import ndtr
 
 from .model import DiffusionParams, SolverError
@@ -380,31 +379,32 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     )
 
 
-def _jacobi_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S a S, s), S = diag(s), s_i = 1 / sqrt(a_ii) where a_ii > 0, else 0: a
-    copy in ``a``'s memory order, unit diagonal but for the zero rows."""
-    diagonal = np.diagonal(a)
-    scale = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, np.inf))
-    scaled = a * scale[:, None]
-    scaled *= scale
-    return scaled, scale
-
-
-def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
-    """One pivoted Cholesky (``dpstrf``) solve of the Jacobi-scaled system:
-    the hats past its rank, at LAPACK's default tolerance, get coefficient 0.
-    Any vector reproducing the right-hand side is as good as any other, as
-    the projection itself is unique, so the test is on the residual.
-    Returns (alpha, residual); raises SolverError above the tolerance.
+def solve_gram(system: GramSystem) -> tuple[np.ndarray, float, int, float]:
+    """One pivoted Cholesky (``dpstrf``) solve of the Jacobi-scaled system
+    S a S, S = diag(s), s_i = 1 / sqrt(a_ii) where a_ii > 0, else 0: the hats
+    past its rank, at LAPACK's default tolerance, get coefficient 0.  Any
+    vector reproducing the right-hand side is as good as any other, as the
+    projection itself is unique, so the test is on the residual.  Returns
+    (alpha, residual, rank, condition): the hats the factor kept, and
+    ``dpocon``'s 1-norm condition estimate of the block it factored, from the
+    whole scaled matrix's 1-norm (the block's while it keeps every hat of
+    positive diagonal).  Raises SolverError at rank 0 or above the tolerance.
     """
     a, b = system.matrix, system.rhs
     # The rhs entries carry roundoff of order eps times their absolute-value
     # quadrature sums; no solver can push the residual below that noise.
     tol = max(_REL_TOL * float(np.linalg.norm(b)),
               100.0 * np.finfo(float).eps * system.rhs_scale)
-    # The scaled copy is in dsyrk's Fortran order, so dpstrf factors it in place.
-    scaled, scale = _jacobi_scaled(a)
+    # A copy in dsyrk's Fortran order, so dpstrf factors it in place; its
+    # 1-norm is taken first, _BLOCK columns of |.| at a time.
+    scale = 1.0 / np.sqrt(np.where(np.diagonal(a) > 0.0, np.diagonal(a), np.inf))
+    scaled = a * scale[:, None]
+    scaled *= scale
+    anorm = max(np.abs(scaled[:, j:j + _BLOCK]).sum(axis=0).max() for j in range(0, b.size, _BLOCK))
     factor, piv, rank, _ = dpstrf(scaled, lower=1, overwrite_a=1)
+    if rank == 0:
+        raise SolverError("the Gram matrix has no positive diagonal entry; check basis and quadrature")
+    condition = 1.0 / dpocon(factor[:rank, :rank], anorm, uplo="L")[0]
     # Rows past the rank become the identity's, so dpotrs solves the first rank alone.
     factor[rank:] = 0.0
     np.fill_diagonal(factor[rank:, rank:], 1.0)
@@ -417,14 +417,15 @@ def solve_gram(system: GramSystem) -> tuple[np.ndarray, float]:
     if not res <= tol:
         raise SolverError(f"Gram solve residual {res:.3e} exceeds tolerance {tol:.3e}; "
                           "check basis and quadrature", residual=res)
-    return alpha, res
+    return alpha, res, rank, condition
 
 
 class RatioReconstruction:
     """Stationary-density estimate r * (1 - projection) / norm_sq.
 
-    Solves ``system`` on construction: ``alpha`` and ``residual`` are the
-    coefficients and residual of ``solve_gram``.  ``projected`` is the best
+    Solves ``system`` on construction: ``alpha``, ``residual``, ``rank`` and
+    ``condition`` are the coefficients, residual, hats kept and 1-norm
+    condition estimate of ``solve_gram``.  ``projected`` is the best
     approximation of the constant function inside the mapped test space,
     ``norm_sq`` the squared distance left over, and ``ratio``/``density``
     the resulting correction factor and density.  ``node_mass`` is w * ratio
@@ -434,12 +435,11 @@ class RatioReconstruction:
     def __init__(self, system: GramSystem):
         if system.quad_w.size == 0:
             raise ValueError("the Gram system has no quadrature nodes")
-        alpha, self.residual = solve_gram(system)
+        self.alpha, self.residual, self.rank, self.condition = solve_gram(system)
         self._system = system
-        self.alpha = alpha
         # The remainder sqrt(w) (1 - L f^T alpha) at the nodes, by one dgemv.
         root_w = np.sqrt(system.quad_w)
-        remainder = root_w - dgemv(1.0, system.weighted_lf.T, alpha)
+        remainder = root_w - dgemv(1.0, system.weighted_lf.T, self.alpha)
         self.norm_sq = float(remainder @ remainder)
         if not self.norm_sq > 0.0:
             raise SolverError(
@@ -524,20 +524,18 @@ class RatioReconstruction:
         """Clipped, domain-renormalized samples plus diagnostics.
 
         Returns (density on ``grid``, diagnostics dict).  Diagnostics report
-        the remainder norm, the Gram solve's residual, the 2-norm condition
-        number of the matrix it factors (``_jacobi_scaled``, hats of zero
-        diagonal left out) and the clipped-away mass.  Each keeps only the
-        digits it has: the condition number moves by about 1e-8 relative
-        when the Gram entries move by roundoff, so it keeps 6 significant
-        digits, and the residual is roundoff itself, so it keeps 1.
+        the remainder norm, the Gram solve's residual, its 1-norm condition
+        estimate and rank (``solve_gram``) and the clipped-away mass.  Each
+        keeps only the digits it has: the condition number moves by about
+        1e-8 relative when the Gram entries move by roundoff, so it keeps 6
+        significant digits, and the residual is roundoff itself, so it keeps 1.
         """
         raw_mass, clipped_mass = self.domain_mass()
-        scaled, scale = _jacobi_scaled(self._system.matrix)
-        singular = svdvals(scaled[np.ix_(scale > 0.0, scale > 0.0)])
         diagnostics = {
             "norm_sq": self.norm_sq,
             "residual": float(f"{self.residual:.1g}"),
-            "condition_estimate": float(f"{singular[0] / singular[-1]:.6g}"),
+            "condition_estimate": float(f"{self.condition:.6g}"),
+            "rank": self.rank,
             "clipped_mass": clipped_mass,
         }
         density = np.clip(np.atleast_1d(self.density(grid)), 0.0, None)

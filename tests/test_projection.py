@@ -6,7 +6,6 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemv
 from scipy.special import ndtr
 
@@ -576,7 +575,7 @@ class TestSolveGram:
     def test_identity_system(self):
         rhs = np.array([1.0, -2.0, 0.5])
         system = synthetic_system(np.eye(3), rhs)
-        alpha, residual = solve_gram(system)
+        alpha, residual, *_ = solve_gram(system)
         assert np.abs(alpha - rhs).max() <= 1e-10
         assert residual <= 1e-10
 
@@ -596,7 +595,7 @@ class TestSolveGram:
 
         alpha_min = np.linalg.lstsq(a, b, rcond=None)[0]
         system = synthetic_system(a, b, rhs_scale=float(np.abs(b).sum()))
-        alpha_solver, _ = solve_gram(system)
+        alpha_solver, *_ = solve_gram(system)
         null_vec = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
         assert np.abs(a @ null_vec).max() <= 1e-12 * np.abs(a).max()
 
@@ -620,9 +619,14 @@ class TestSolveGram:
         # Gram must stay within it.
         params = ModelParams.from_mean_los(n, lam, mean_los)
         *_, system = small_setup(params, m=elements)
-        alpha, _ = solve_gram(system)
+        alpha, *_ = solve_gram(system)
         tol = 100.0 * np.finfo(float).eps * system.rhs_scale
         assert np.linalg.norm(system.matrix @ alpha - system.rhs) <= tol
+
+    def test_rank_zero_system_raises(self):
+        # No hat of positive diagonal: nothing is factored, so nothing is reported.
+        with pytest.raises(SolverError, match="no positive diagonal"):
+            solve_gram(synthetic_system(np.zeros((2, 2)), np.zeros(2)))
 
     def test_inconsistent_system_raises_with_residual(self):
         a = np.diag([1.0, 0.0])
@@ -635,7 +639,7 @@ class TestSolveGram:
 class TestReconstruction:
     def test_orthogonality_at_solution(self, params_small):
         *_, system = small_setup(params_small, m=96)
-        alpha, _ = solve_gram(system)
+        alpha, *_ = solve_gram(system)
         gap = np.abs(system.matrix @ alpha - system.rhs).max()
         assert gap <= 1e-8
 
@@ -985,19 +989,40 @@ class TestHatBand:
         assert np.all(lf[tiny] == 0.0)
 
     def test_printed_condition_matches_dense_reference(self, benchmark_system, capsys):
-        # The condition of the matrix the solve factors: the dense Gram,
-        # each hat scaled to unit diagonal (every diagonal is positive here).
+        # The 1-norm condition of the matrix the solve factors: the dense
+        # Gram, each hat scaled to unit diagonal (every diagonal is positive
+        # here, and the factor keeps every hat).
         params, system = benchmark_system
-        weighted = dense_lf(system) * np.sqrt(system.quad_w)
-        gram = weighted @ weighted.T
-        scale = 1.0 / np.sqrt(np.diag(gram))
-        singular = svdvals(gram * scale[:, None] * scale)
         args = ["projection", "--n", str(params.n_servers),
                 "--lambda", repr(params.daily_arrival_rate),
                 "--mu", repr(params.daily_service_prob), "--format", "json"]
-        assert main(args) == 0
-        printed = json.loads(capsys.readouterr().out)["diagnostics"]["condition_estimate"]
-        assert printed == float(f"{singular[0] / singular[-1]:.6g}")
+        assert printed_condition_and_rank(args, capsys) == (dense_condition(system, 161), 161)
+
+    def test_low_load_condition_is_of_the_kept_hats(self, capsys):
+        # 130 of the 161 hats carry no weight, and the factor keeps the other 31.
+        params = ModelParams(100, 0.1, 0.5)
+        d = derive_diffusion_params(params)
+        _, system, _ = project_stationary_density(d, params.daily_service_prob)
+        args = ["projection", "--n", "100", "--lambda", "0.1", "--mu", "0.5", "--format", "json"]
+        assert printed_condition_and_rank(args, capsys) == (dense_condition(system, 31), 31)
+
+
+def dense_condition(system, kept):
+    """np.linalg.cond(., 1) to 6 digits of the dense Gram's block of positive
+    diagonal, scaled to unit diagonal; that block has ``kept`` hats."""
+    weighted = dense_lf(system) * np.sqrt(system.quad_w)
+    gram = weighted @ weighted.T
+    positive = np.flatnonzero(np.diag(gram) > 0.0)
+    assert positive.size == kept
+    block = gram[np.ix_(positive, positive)]
+    scale = 1.0 / np.sqrt(np.diag(block))
+    return float(f"{np.linalg.cond(block * scale[:, None] * scale, 1):.6g}")
+
+
+def printed_condition_and_rank(args, capsys):
+    assert main(args) == 0
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    return diagnostics["condition_estimate"], diagnostics["rank"]
 
 
 def reject_constant(name):
@@ -1022,7 +1047,7 @@ class TestGramSweep:
     @pytest.mark.parametrize("n", [18, 66, 500, 5000])
     @pytest.mark.parametrize("load", [0.01, 0.1, 0.5, 0.9, 0.99])
     def test_printed_condition_is_finite_and_bounded(self, n, load, capsys):
-        # The largest value over this grid is 1.4e10, at N = 18, load 0.99.
+        # The largest value over this grid is 2.72e10, at N = 18, load 0.99.
         args = ["projection", "--n", str(n), "--lambda", repr(load * n / 5.3),
                 "--mean-los", "5.3", "--format", "json"]
         assert main(args) == 0
@@ -1052,7 +1077,7 @@ class TestGramSweep:
         Known counterexamples at this seed: none.
         """
         *_, system = small_setup(ModelParams.from_mean_los(n, lam, mean_los), m=elements)
-        alpha, residual = solve_gram(system)
+        alpha, residual, *_ = solve_gram(system)
         tol = max(projection._REL_TOL * np.linalg.norm(system.rhs),
                   100.0 * np.finfo(float).eps * system.rhs_scale)
         assert np.all(np.isfinite(alpha))
