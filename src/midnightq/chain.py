@@ -13,7 +13,6 @@ the kernel is stored and factored as that band.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -22,7 +21,8 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv
 from scipy.special import gammaln
 
-from .model import ModelParams, SolverError
+from .model import ROW_BYTES, ModelParams, SolverError, check_budget
+from . import model
 
 
 def poisson_pmf(rate: float, first: int, last: int) -> np.ndarray:
@@ -111,22 +111,6 @@ class SimulatedPath:
     counts: np.ndarray
 
 
-def _memory_budget() -> int:
-    """Bytes an array may take before it is refused: half of physical memory."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
-
-
-def _check_budget(needed: int, what: str, advice: str) -> None:
-    """Refuse with ValueError, naming ``what`` and ``advice``, ``needed``
-    bytes over ``_memory_budget``; called before they are allocated."""
-    available = _memory_budget()
-    if needed > available:
-        raise ValueError(
-            f"{what} {needed / 2**30:.1f} GiB, over half of physical memory "
-            f"({available / 2**30:.1f} GiB); {advice}"
-        )
-
-
 # Each tail cut from a law before a convolution holds less than this.
 _TRIM = _TAIL / 1024
 
@@ -152,13 +136,13 @@ def _window(mean: float, variance: float, top: float, pmf) -> tuple[int, np.ndar
     outside of which each tail holds far less than ``_TRIM``, so the
     window holds O(sd) counts.  Refuses with ValueError, before it is
     evaluated, a window whose evaluation, four float64 arrays of its size
-    at once, would take over ``_memory_budget``.
+    at once, would take over ``model.memory_budget``.
     """
     spread = 12.0 * math.sqrt(variance) + 30.0
     first = max(math.floor(mean - spread), 0)
     last = min(math.ceil(mean + spread), top)
-    _check_budget(32 * (last - first + 1), f"a pmf window of {last - first + 1} counts needs",
-                  "lower --n or the arrival rate")
+    check_budget(32 * (last - first + 1), f"a pmf window of {last - first + 1} counts needs",
+                 "lower --n or the arrival rate")
     lo, kept = _trim(pmf(first, last))
     return first + lo, kept
 
@@ -236,7 +220,7 @@ def build_kernel(
     law = _step_law(min(lower, n), mu, arrivals)
     ku = _reaches(law)[1]
     size = k_max - lower + 1
-    _check_budget(
+    check_budget(
         8 * (2 * ku + kl + 1) * size,
         f"banded LU at truncation {k_max} (steps -{kl}..+{ku}) needs",
         advice,
@@ -337,10 +321,6 @@ _RESOLUTION = 2.0**-53
 _CELLS = 1 << 16
 
 
-def _path_rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed=seed))
-
-
 def _step_cuts(busy: int, mu: float, arrivals: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
     """Inverse-CDF table of one day's step A - D from ``busy`` busy servers.
 
@@ -362,13 +342,11 @@ def _cell_table(offset: int, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guide table of ``_CELLS`` cells over [0, 1) for a step table.
 
     Cell k holds the step at u = k / ``_CELLS`` and a flag that is set when
-    a cut falls inside the cell, (k, k + 1) / ``_CELLS``.  A uniform in an
-    unflagged cell has its cell's step.
+    a cut falls in (k, k + 1] / ``_CELLS``; a cut at the right end only costs
+    an exact search.  A uniform in an unflagged cell has its cell's step.
     """
-    edges = np.arange(_CELLS + 1) / _CELLS
-    at_edge = np.searchsorted(cuts, edges, side="right")
-    below_next = np.searchsorted(cuts, edges[1:], side="left")
-    return offset + at_edge[:-1], below_next != at_edge[:-1]
+    at_edge = np.searchsorted(cuts, np.arange(_CELLS + 1) / _CELLS, side="right")
+    return offset + at_edge[:-1], np.diff(at_edge) != 0
 
 
 def _saturated_steps(
@@ -396,15 +374,15 @@ def simulate_path(p: ModelParams, horizon: int, seed) -> SimulatedPath:
     looked up at once in a cell table; below N the step table of a busy
     count is built when the path first visits it.  The path, then the two
     N-entry lists of those tables, are refused first (ValueError) over
-    ``_memory_budget``.
+    ``model.memory_budget``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-    _check_budget(8 * (horizon + 1), f"a path of {horizon} days needs", "lower --steps")
+    check_budget(8 * (horizon + 1), f"a path of {horizon} days needs", "lower --steps")
     n = p.n_servers
-    _check_budget(16 * n, f"step tables of {n} busy counts need", "lower --n")
+    check_budget(16 * n, f"step tables of {n} busy counts need", "lower --n")
     mu = p.daily_service_prob
-    rng = _path_rng(seed)
+    rng = model.path_rng(seed)
 
     x = n
     counts = np.empty(horizon + 1, dtype=np.int64)
@@ -608,7 +586,7 @@ def simulate_replications(p: ModelParams, horizon: int, n_paths: int, seed) -> n
     states, mass = transient_pmf(p, horizon)
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
-    return states[np.searchsorted(cdf, _path_rng(seed).random(n_paths), side="right")]
+    return states[np.searchsorted(cdf, model.path_rng(seed).random(n_paths), side="right")]
 
 
 _SE_BATCHES = 32
@@ -630,24 +608,18 @@ def batch_means_se(samples: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(batches))
 
 
-# Memory one row of a law's table takes: 16 bytes in its two arrays, and up
-# to 280 more while it is written as JSON (138 as CSV), measured for 10^6
-# `simulate` states (a `formula` grid point: 296 and 168 bytes).
-_ROW_BYTES = 512
-
-
 def empirical_pmf(counts: np.ndarray, burn_in: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Occupation frequencies of a path after discarding ``burn_in`` days.
 
     Refuses with ValueError, before allocating, a path whose states 0..max
-    would take over ``_memory_budget`` at ``_ROW_BYTES`` each.
+    would take over ``model.memory_budget`` at ``ROW_BYTES`` each.
     """
     tail = counts[burn_in:]
     if tail.size == 0:
         raise ValueError("burn_in leaves no samples")
     top = int(tail.max())
-    _check_budget(
-        _ROW_BYTES * (top + 1),
+    check_budget(
+        ROW_BYTES * (top + 1),
         f"occupation frequencies of states 0..{top} need",
         "lower --steps or the load",
     )

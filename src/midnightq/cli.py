@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from .compare import compare_methods
-from .model import ModelParams, SolverError, derive_diffusion_params, service_prob_of
+from .model import ROW_BYTES, ModelParams, SolverError, check_budget, derive_diffusion_params
+from .model import service_prob_of
 from . import chain as chain_mod
 from . import diffusion as diff_mod
 from . import projection as proj_mod
@@ -103,8 +104,8 @@ def _cmd_exact(cfg: Namespace) -> _Result:
 
 
 def _formula_grid(cfg: Namespace, d) -> np.ndarray:
-    chain_mod._check_budget(chain_mod._ROW_BYTES * (2 * cfg.elements + 1),
-                            f"a {2 * cfg.elements + 1}-point grid needs", "set fewer --elements")
+    check_budget(ROW_BYTES * (2 * cfg.elements + 1), f"a {2 * cfg.elements + 1}-point grid needs",
+                 "set fewer --elements")
     lo, hi = proj_mod.working_domain(d, cfg.grid_lo, cfg.grid_hi)
     return np.linspace(lo, hi, 2 * cfg.elements + 1)
 

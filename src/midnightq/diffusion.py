@@ -22,10 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .model import DiffusionParams, ModelParams, SolverError
-from . import chain as chain_mod
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+from .model import SQRT2PI, DiffusionParams, ModelParams, SolverError, check_budget
+from . import chain as chain_mod, model
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +80,7 @@ class NormalDensity:
 
     def __call__(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        out = np.exp(-0.5 * z * z) / (self.sd * _SQRT2PI)
+        out = np.exp(-0.5 * z * z) / (self.sd * SQRT2PI)
         return out if out.ndim else float(out)
 
 
@@ -114,7 +112,7 @@ class PiecewiseDensity:
         x = np.asarray(x, dtype=float)
         sd = math.sqrt(self.ou_variance)
         # alpha_neg times the full-line Gaussian mass, times its cdf
-        below = (self.alpha_neg * _SQRT2PI * sd) * ndtr(
+        below = (self.alpha_neg * SQRT2PI * sd) * ndtr(
             (np.minimum(x, 0.0) - self.gaussian_center) / sd
         )
         above = (self.alpha_pos / self.tail_rate) * (
@@ -147,7 +145,7 @@ def proxy_density(d: DiffusionParams, mu: float) -> PiecewiseDensity:
     sd = math.sqrt(v)
     # alpha_pos = ratio * alpha_neg, from matching the two branches at zero
     ratio = math.exp(-center * center / (2.0 * v))
-    neg_mass_unit = _SQRT2PI * sd * float(ndtr(-center / sd))
+    neg_mass_unit = SQRT2PI * sd * float(ndtr(-center / sd))
     alpha_neg = 1.0 / (ratio / d.tail_rate + neg_mass_unit)
     alpha_pos = ratio * alpha_neg
     return PiecewiseDensity(
@@ -188,14 +186,14 @@ def simulate_diffusion(
     Gaussian increments are pre-drawn in blocks; the idle-side push is
     applied sequentially since it depends on the running state, and each
     block's states are stored with one slice assignment.  A path over
-    ``chain._memory_budget`` is refused (ValueError) before it is allocated.
+    ``model.memory_budget`` is refused (ValueError) before it is allocated.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu!r}")
-    chain_mod._check_budget(8 * (steps + 1), f"a path of {steps} steps needs", "lower steps")
-    rng = chain_mod._path_rng(seed)
+    check_budget(8 * (steps + 1), f"a path of {steps} steps needs", "lower steps")
+    rng = model.path_rng(seed)
     sd = math.sqrt(d.variance)
     keep = 1.0 - mu
 
@@ -298,10 +296,10 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
     ValueError, before simulating, R replications whose 15 R float64 values
     held at once (the limit sample, the finals, scaled, and ``ks_distance``'s
     sorted copies and five arrays over its 2R grid) would take over
-    ``chain._memory_budget``.
+    ``model.memory_budget``.
     """
-    chain_mod._check_budget(120 * cfg.replications, f"{cfg.replications} replications need",
-                            "lower --replications")
+    check_budget(120 * cfg.replications, f"{cfg.replications} replications need",
+                 "lower --replications")
     mu = cfg.service_prob
     warnings: list[str] = []
     if cfg.replications < 1000:
@@ -309,7 +307,7 @@ def run_limit_harness(cfg: LimitHarnessConfig) -> LimitReport:
             f"replications={cfg.replications} < 1000: KS noise dominates the comparison"
         )
     lim_seed, *pre_seeds = np.random.SeedSequence(cfg.seed).spawn(1 + len(cfg.system_sizes))
-    rng = chain_mod._path_rng(lim_seed)
+    rng = model.path_rng(lim_seed)
     sd = math.sqrt(mu + mu * (1.0 - mu))
     limit = np.zeros(cfg.replications)
     for _ in range(cfg.horizon):

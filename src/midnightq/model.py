@@ -1,17 +1,25 @@
-"""Queue primitives and the derived diffusion scalars.
+"""Queue primitives, the derived diffusion scalars, and the policies every route shares.
 
 The system under study is a single pool of ``n_servers`` beds with Poisson
 arrivals at a daily rate and geometric (whole-day) lengths of stay: each
 customer in service at midnight departs the next day with probability
-``daily_service_prob``.  Everything downstream (the exact chain, the
-diffusion proxy, the projection solver) consumes the two parameter records
-defined here.
+``daily_service_prob``.  Every route and simulator consumes the two
+parameter records, the memory budget and the seeded stream defined here.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+
+import numpy as np
+
+SQRT2PI = math.sqrt(2.0 * math.pi)
+# Memory one row of a law's table takes: 16 bytes in its two arrays, and up
+# to 280 more while it is written as JSON (138 as CSV), measured for 10^6
+# `simulate` states (a `formula` grid point: 296 and 168 bytes).
+ROW_BYTES = 512
 
 
 class SolverError(RuntimeError):
@@ -22,6 +30,26 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+def memory_budget() -> int:
+    """Bytes an array may take before it is refused: half of physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
+def check_budget(needed: int, what: str, advice: str) -> None:
+    """Refuse with ValueError, naming ``what`` and ``advice``, ``needed``
+    bytes over ``memory_budget``; called before they are allocated."""
+    available = memory_budget()
+    if needed > available:
+        raise ValueError(
+            f"{what} {needed / 2**30:.1f} GiB, over half of physical memory "
+            f"({available / 2**30:.1f} GiB); {advice}"
+        )
+
+
+def path_rng(seed) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed=seed))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.linalg.lapack import dpocon, dpotrs, dpstrf
 from scipy.special import ndtr
 
-from .model import DiffusionParams, SolverError
-from .chain import _check_budget
-from .diffusion import _SQRT2PI, TransitionKernel, proxy_density
+from .model import SQRT2PI, DiffusionParams, SolverError, check_budget
+from .diffusion import TransitionKernel, proxy_density
 
 # Points per batch of hat evaluations: the kernel's (window width x points)
 # work arrays stay small enough to be reused from cache.
@@ -168,7 +167,7 @@ def _pf_windows(nodes: np.ndarray, h: float, means: np.ndarray, sd: float, first
         np.multiply(z, -0.5, out=pdf)
         pdf *= z
         np.exp(pdf, out=pdf)
-        pdf /= _SQRT2PI
+        pdf /= SQRT2PI
         # I1 = mean I0 + sd (pdf_a - pdf_b) in z's first rows; then the
         # rising half of each piece's hats in pdf's and the falling half in i0.
         i1, up, down = z[:-1], pdf[:-1], i0
@@ -361,11 +360,13 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
     for j in range(0, m + 1, _BLOCK):
         k = j + _BLOCK
         matrix[j:, j:k] = np.triu(matrix[j:, j:k]) + np.tril(matrix[j:k, j:].T, -1)
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise SolverError("non-finite Gram entries; check the reference density scale")
-    # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, _BLOCK rows of |.| at a time.
+    # || |L f|^T w || as || |sqrt(w) L f|^T sqrt(w) ||, _BLOCK rows of |.| at a time.  It
+    # can overflow where the entries do not, which would make solve_gram's tolerance infinite.
     abs_rhs = np.concatenate([dgemv(1.0, np.abs(lf[j:j + _BLOCK]).T, root_w, trans=1)
                               for j in range(0, m + 1, _BLOCK)])
+    rhs_scale = float(np.linalg.norm(abs_rhs))
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all() and math.isfinite(rhs_scale)):
+        raise SolverError("non-finite Gram entries; check the reference density scale")
     return GramSystem(
         matrix=matrix,
         rhs=rhs,
@@ -374,7 +375,7 @@ def assemble_gram(basis: FemBasis, kernel: TransitionKernel, r) -> GramSystem:
         basis=basis,
         quad_x=quad_x,
         quad_w=quad_w,
-        rhs_scale=float(np.linalg.norm(abs_rhs)),
+        rhs_scale=rhs_scale,
         weighted_lf=lf,
     )
 
@@ -553,13 +554,13 @@ def project_stationary_density(
 
     Returns (basis, system, reconstruction).  Refuses with ValueError,
     before building the basis, an assembly that would take over
-    ``chain._memory_budget``: it holds L f, (m + 1) x q, and two (m + 1)^2
+    ``model.memory_budget``: it holds L f, (m + 1) x q, and two (m + 1)^2
     Gram arrays at once.
     """
     m = num_elements
     q = _ORDER * (m + 2 * _REACH_SD)  # the nodes assemble_gram makes
-    _check_budget(8 * (m + 1) * (q + 2 * m + 2),
-                  f"the Gram assembly of {m} elements needs", "set fewer --elements")
+    check_budget(8 * (m + 1) * (q + 2 * m + 2),
+                 f"the Gram assembly of {m} elements needs", "set fewer --elements")
     r = proxy_density(d, mu)
     basis = build_basis(*working_domain(d, grid_lo, grid_hi), num_elements)
     kernel = TransitionKernel(diffusion=d, service_prob=mu)

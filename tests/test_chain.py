@@ -18,6 +18,7 @@ from midnightq import (
     stationary_window,
     transient_pmf,
 )
+from midnightq import chain
 from midnightq.chain import (
     _CELLS,
     _CUT,
@@ -435,6 +436,21 @@ class TestStationaryPMF:
         with pytest.raises(SolverError, match="singular"):
             stationary_pmf(kernel)
 
+    def test_negative_mass_refused_with_residual(self, params_small, monkeypatch):
+        # A solve that leaves a state's mass below zero is refused, with the
+        # residual of the law it gave.
+        real = chain.dgbsv
+
+        def negated(*args, **kwargs):
+            lub, piv, pi, info = real(*args, **kwargs)
+            pi[pi.argmax()] *= -1.0
+            return lub, piv, pi, info
+
+        monkeypatch.setattr(chain, "dgbsv", negated)
+        with pytest.raises(SolverError, match=r"^stationary solve produced negative mass -\d") as err:
+            stationary_pmf(build_kernel(params_small))
+        assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+
     def test_one_solve_residual_sweep(self):
         # One banded LU solve, without refinement, on 40 seeded systems (N
         # up to 2,000, load 0.01-0.99, mean stay 1.05-50 days) and two
@@ -603,6 +619,20 @@ class TestSimulatePath:
         assert a.shape == (500,)
         zero = simulate_replications(params_small, 0, 11, seed=1)
         assert np.all(zero == params_small.n_servers)
+
+    def test_replications_need_a_path(self, params_small):
+        with pytest.raises(ValueError, match=r"^n_paths must be >= 1, got 0$"):
+            simulate_replications(params_small, 10, 0, 0)
+
+    def test_cut_on_a_cell_edge_is_looked_up_exactly(self):
+        # Cell _CELLS / 2 - 1 ends at the cut 0.5, and the next cut lies inside
+        # cell _CELLS / 2: both are flagged, and every lookup is exact.
+        cuts = np.array([0.25, 0.5, 0.5 + 1.0 / (3 * _CELLS), 0.75])
+        steps, flags = _cell_table(-2, cuts)
+        assert flags[_CELLS // 2 - 1 : _CELLS // 2 + 1].all()
+        uniforms = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+        got = _saturated_steps(uniforms, -2, cuts, (steps, flags))
+        assert np.array_equal(got, -2 + np.searchsorted(cuts, uniforms, side="right"))
 
     def test_replications_follow_transient_law(self):
         # Each final count inverts the exact law's CDF at its own uniform, so

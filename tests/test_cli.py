@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from midnightq import SolverError, chain, compare_methods, derive_diffusion_params, diffusion
-from midnightq import cli, projection
+from midnightq import cli, model, projection
 from midnightq.cli import _COMMANDS, _OPTIONS, build_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -299,7 +299,7 @@ class TestCommands:
             (["compare", *SMALL_ARGS, "--elements", "128"], "--elements",
              (projection, "build_basis")),
             (["simulate", *SMALL_ARGS, "--steps", "200000"], "--steps",
-             (chain, "_path_rng")),
+             (model, "path_rng")),
             (["limit-check", "--n", "25,100", "--mean-los", "5.3", "--replications", "10000"],
              "--replications", (chain, "simulate_replications")),
             (["formula", *SMALL_ARGS, "--elements", "2000"], "--elements",
@@ -313,7 +313,7 @@ class TestCommands:
         # 4,001-point formula table.  Each is refused before the function
         # that would allocate it is called; simulate_path refuses its path
         # before it seeds its generator.
-        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(model, "memory_budget", lambda: 2**20)
 
         def allocating(*args, **kwargs):
             raise AssertionError("allocated past the memory refusal")
@@ -346,7 +346,7 @@ class TestCommands:
         # counts at 16 bytes each.  Each is refused before any pmf is
         # evaluated; simulate_path evaluates its arrival window before it
         # makes the tables.
-        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(model, "memory_budget", lambda: 2**20)
 
         def evaluating(*args):
             raise AssertionError("evaluated past the memory refusal")
@@ -384,7 +384,7 @@ class TestCommands:
     )
     def test_banded_lu_refusal_advises_flags_the_command_reads(self, argv, advised,
                                                                  monkeypatch, capsys):
-        monkeypatch.setattr(chain, "_memory_budget", lambda: 2**20)
+        monkeypatch.setattr(model, "memory_budget", lambda: 2**20)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: banded LU at truncation")
@@ -539,6 +539,24 @@ class TestCommands:
         assert captured.out == ""
         expected = f"invalid configuration: --mu must lie in (0, 1), got {float(mu)!r}\n"
         assert captured.err == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["exact", "--n", "18", "--lambda", "3.03"], "one of --mu or --mean-los is required"),
+            (["limit-check", "--mean-los", "5.3"],
+             "--n must list the system sizes, e.g. --n 25,100,400"),
+            *[([command, *SMALL_ARGS, "--elements", "3"], "--elements must be at least 4, got 3")
+              for command in ("formula", "projection", "compare")],
+        ],
+        ids=["no-service-rate", "limit-check-no-sizes", "formula-elements", "projection-elements",
+             "compare-elements"],
+    )
+    def test_missing_or_bad_flag_is_named_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid configuration: {message}\n"
 
     @pytest.mark.parametrize("truncation", ["100", "1000000000"])
     def test_refused_compare_truncation_never_projects(self, truncation, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from midnightq import (
     simulate_replications,
     transition_density,
 )
-from midnightq import chain
+from midnightq import chain, model
 from midnightq.cli import csv_table as density_csv
 from midnightq.diffusion import ks_distance
 
@@ -201,7 +201,7 @@ class TestSimulateDiffusion:
         def drawing(*args):
             raise AssertionError("seeded the generator past the memory refusal")
 
-        monkeypatch.setattr(chain, "_path_rng", drawing)
+        monkeypatch.setattr(model, "path_rng", drawing)
         d = derive_diffusion_params(params_small)
         mu = params_small.daily_service_prob
         for simulate in (lambda: chain.simulate_path(params_small, 10**13, 0),
@@ -303,10 +303,33 @@ class TestLimitHarness:
 
         cfg = LimitHarnessConfig((25, 100, 400), 4, 500, 1 / 5.3, seed=3)
         expected = run_limit_harness(cfg).ks_distances()
-        path_rng = chain._path_rng
-        monkeypatch.setattr(chain, "_path_rng", lambda seed: CountingRng(path_rng(seed)))
+        path_rng = model.path_rng
+        monkeypatch.setattr(model, "path_rng", lambda seed: CountingRng(path_rng(seed)))
         assert run_limit_harness(cfg).ks_distances() == expected
         assert len(calls) == cfg.horizon
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TransitionKernel(TOY, 1.0), "service_prob must lie in (0, 1), got 1.0"),
+            (lambda: proxy_density(TOY, 0.0), "mu must lie in (0, 1), got 0.0"),
+            (lambda: simulate_diffusion(TOY, 1.5, 10, 0), "mu must lie in (0, 1), got 1.5"),
+            (lambda: LimitHarnessConfig((25,), 2, 10, 1.0),
+             "service_prob must lie in (0, 1), got 1.0"),
+        ],
+        ids=["TransitionKernel", "proxy_density", "simulate_diffusion", "LimitHarnessConfig"],
+    )
+    def test_service_prob_outside_unit_interval(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_normal_density_needs_positive_variance(self):
+        with pytest.raises(ValueError) as err:
+            NormalDensity(0.0, 0.0)
+        assert str(err.value) == "variance must be positive, got 0.0"
 
 
 class TestDensityTable:

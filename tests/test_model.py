@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from midnightq import ModelParams, derive_diffusion_params
+from midnightq import DiffusionParams, ModelParams, derive_diffusion_params
 
 
 class TestValidateParams:
@@ -41,6 +41,16 @@ class TestValidateParams:
         b = ModelParams(18, 3.03, 1 / 5.3)
         assert a.daily_service_prob == b.daily_service_prob
         assert a.mean_los == pytest.approx(5.3)
+
+
+class TestDiffusionParams:
+    @pytest.mark.parametrize("field", ["variance", "ou_variance"])
+    def test_zero_variance_rejected(self, field):
+        values = dict(drift=-1.0, variance=1.0, tail_rate=2.0, gaussian_center=-5.0,
+                      ou_variance=3.0)
+        with pytest.raises(ValueError) as err:
+            DiffusionParams(**{**values, field: 0.0})
+        assert str(err.value) == f"{field} must be positive, got 0.0"
 
 
 class TestDeriveDiffusionParams:

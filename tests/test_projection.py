@@ -233,6 +233,14 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="straddle"):
             build_basis(1.0, 9.0, 8)
 
+    @pytest.mark.parametrize("tail_rate", [0.0, -0.5])
+    def test_default_domain_needs_a_positive_tail_rate(self, tail_rate):
+        d = DiffusionParams(drift=0.25, variance=1.0, tail_rate=tail_rate, gaussian_center=1.0,
+                            ou_variance=1.0)
+        with pytest.raises(ValueError) as err:
+            working_domain(d)
+        assert str(err.value) == "default domain needs a stable regime (positive tail rate)"
+
     def test_too_few_elements_rejected(self):
         with pytest.raises(ValueError, match="elements"):
             build_basis(-4, 4, 3)
@@ -456,6 +464,23 @@ class TestAssembleGram:
         batch = width * min(q, projection._CHUNK)
         assert peak <= 8 * (basis.size * (q + 2 * basis.size) + 5 * batch)
 
+    def test_reference_scale_overflowing_the_rhs_norm_is_refused(self, params_small):
+        # At 1e200 the Gram entries stay finite but the rhs norm overflows;
+        # its infinite tolerance would accept a residual of inf.
+        _, _, r, basis, kernel, _ = small_setup(params_small, m=160)
+        with np.errstate(over="ignore"), pytest.raises(SolverError) as err:
+            assemble_gram(basis, kernel, lambda x: 1e200 * r(x))
+        assert str(err.value) == "non-finite Gram entries; check the reference density scale"
+
+    def test_large_reference_scale_leaves_the_density(self, params_small):
+        # The density r (1 - projected) / norm_sq does not depend on r's scale.
+        _, _, r, basis, kernel, system = small_setup(params_small, m=160)
+        scaled = assemble_gram(basis, kernel, lambda x: 1e100 * r(x))
+        x = np.linspace(basis.grid_lo, basis.grid_hi, 321)
+        base = RatioReconstruction(system).density(x)
+        assert math.isfinite(scaled.rhs_scale)
+        assert np.abs(RatioReconstruction(scaled).density(x) - base).max() <= 1e-12 * base.max()
+
     def test_matrix_symmetric_and_psd(self, params_small):
         *_, system = small_setup(params_small)
         a = system.matrix
@@ -507,7 +532,7 @@ class TestAssembleGram:
         # q = 8 (m + 20), the q of the refusal's 8 (m + 1) (q + 2 m + 2) bytes.
         params = request.getfixturevalue(name)
         counted = []
-        monkeypatch.setattr(projection, "_check_budget", lambda needed, *_: counted.append(needed))
+        monkeypatch.setattr(projection, "check_budget", lambda needed, *_: counted.append(needed))
         d = derive_diffusion_params(params)
         _, system, _ = project_stationary_density(d, params.daily_service_prob, num_elements=m)
         (needed,) = counted
@@ -517,7 +542,7 @@ class TestAssembleGram:
         # The assembly, its budget refusal and domain_mass's core nodes all
         # follow the one module constant: q = 4 (m + 20) at order 4.
         counted = []
-        monkeypatch.setattr(projection, "_check_budget", lambda needed, *_: counted.append(needed))
+        monkeypatch.setattr(projection, "check_budget", lambda needed, *_: counted.append(needed))
         monkeypatch.setattr(projection, "_ORDER", 4)
         d = derive_diffusion_params(params_small)
         m = 64

@@ -162,6 +162,41 @@ def test_other_scipy_imports_are_found():
     assert scipy_imports({"x.py": source}) == [("scipy.linalg", ""), ("scipy.linalg", "eigh")]
 
 
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """``file:line:module._name`` for each underscore name a file takes from
+    another module of the package: by ``from .module import _name``, or as
+    ``alias._name`` where ``from . import module as alias`` bound ``alias``."""
+    found = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.append(f"{name}:{node.lineno}:{node.module}.{alias.name}")
+        found += [f"{name}:{node.lineno}:{modules[node.value.id]}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    """The policies every route shares live under public names in model.py."""
+    assert private_reads(PACKAGE) == []
+
+
+def test_private_reads_are_found():
+    source = ("import os\nfrom .chain import _tails, build_kernel\n"
+              "from . import chain as chain_mod, model\n"
+              "x = chain_mod._TAIL, chain_mod.build_kernel, model._budget(), os._exit\n")
+    assert private_reads({"x.py": source}) == [
+        "x.py:2:chain._tails", "x.py:4:chain._TAIL", "x.py:4:model._budget"]
+
+
 def test_src_stays_within_its_line_ceiling():
     """Counted as perfbench/worker.py counts ``src_lines``: every line of
     every ``*.py`` file under src/."""
